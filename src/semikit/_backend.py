@@ -15,9 +15,16 @@ results are bit-identical either way; only speed differs. See
 """
 
 import os
+import re
 from fractions import Fraction
 
+from .errors import ParseError
+
 __all__ = ["RAT", "BACKEND", "HAVE_GMPY2", "to_int_pair"]
+
+_INT_RE = re.compile(r"^\d+$")
+_FRAC_RE = re.compile(r"^(\d+)/(\d+)$")
+_DEC_RE = re.compile(r"^\d*\.\d+$")
 
 try:
     import gmpy2 as _gmpy2
@@ -41,12 +48,32 @@ def to_int_pair(q):
     return int(q.numerator), int(q.denominator)
 
 
+def parse_literal(text: str):
+    """Exact backend rational from the literal grammar: an optional
+    leading '-', then INT, INT/INT or DECIMAL. No float intermediate."""
+    text = text.strip()
+    negative = text.startswith("-")
+    body = text[1:] if negative else text
+    if _INT_RE.match(body):
+        q = RAT(int(body))
+    elif m := _FRAC_RE.match(body):
+        den = int(m.group(2))
+        if den == 0:
+            raise ParseError(f"zero denominator in {text!r}")
+        q = RAT(int(m.group(1)), den)
+    elif _DEC_RE.match(body):
+        f = Fraction(body)
+        q = RAT(f.numerator, f.denominator)
+    else:
+        raise ParseError(f"not a rational literal (INT, INT/INT, or DECIMAL): {text!r}")
+    return -q if negative else q
+
+
 def signed_rat(x):
     """Signed backend rational from an int, Fraction, backend value, or a
-    string literal (sign, a/b, and decimal forms all parse exactly)."""
+    string literal in the grammar of parse_literal."""
     if isinstance(x, str):
-        f = Fraction(x.strip())
-        return RAT(f.numerator, f.denominator)
+        return parse_literal(x)
     if isinstance(x, float):
         raise TypeError("floats are not accepted implicitly; pass a string literal")
     return RAT(x)

@@ -3,12 +3,16 @@
 The public library never exposes signed values; the nonnegative contract
 is enforced at the type level in scalar.py. Deciding membership questions
 (does A x = b admit x >= 0? is the solution unique?) still needs exact
-elimination over signed rationals. That arithmetic lives here, behind
+arithmetic over signed rationals. That arithmetic lives here, behind
 functions whose outputs are either verdicts or witnesses that callers
 re-verify in pure nonnegative arithmetic before returning them.
 
-All values in this module are raw backend rationals (signed allowed).
-Inequalities are encoded as (coeffs, const) meaning coeffs . t + const >= 0.
+The procedure is an exact simplex method with Bland's rule (Bland 1977),
+which cannot cycle. A tableau is a list of rows, each a list of raw backend
+rationals (signed allowed) whose last entry is the right-hand side;
+``basis[i]`` is the column that row i solves for. Phase 1 starts from the
+Gauss-Jordan form of [A | b], which is already a canonical tableau, so it
+pivots only when some right-hand side is negative.
 """
 
 from ._backend import RAT
@@ -17,229 +21,130 @@ _Z = RAT(0)
 _ONE = RAT(1)
 
 
-def solve_linear_system(rows, rhs):
-    """Exact solve of A x = b.
+def _pivot(tab, r, c):
+    """Make column c a unit column with its 1 in row r, updating every row
+    of `tab` (the objective row too, when it is the last one)."""
+    row = tab[r]
+    inv = _ONE / row[c]
+    row = tab[r] = [v * inv if v else v for v in row]
+    for i, other in enumerate(tab):
+        f = other[c]
+        if f and i != r:
+            tab[i] = [a - f * b if b else a for a, b in zip(other, row)]
 
-    Returns (particular, nullspace_basis) where particular is a length-n
-    list and nullspace_basis a list of length-n direction vectors, or None
-    when the system is inconsistent.
-    """
+
+def _minimise(tab, basis):
+    """Bland's-rule pivots until the objective row tab[-1] has no negative
+    reduced cost. Returns None at the optimum, or the entering column of
+    an unbounded ray."""
+    while True:
+        obj = tab[-1]
+        e = next((j for j, d in enumerate(obj[:-1]) if d < 0), None)
+        if e is None:
+            return None
+        leave = ratio = None
+        for i, row in enumerate(tab[:-1]):
+            if row[e] > 0:
+                q = row[-1] / row[e]
+                if leave is None or q < ratio or (q == ratio and basis[i] < basis[leave]):
+                    leave, ratio = i, q
+        if leave is None:
+            return e
+        _pivot(tab, leave, e)
+        basis[leave] = e
+
+
+def _point(tab, basis, n):
+    """The basic solution of a canonical tableau: x_B = rhs, the rest 0."""
+    x = [_Z] * n
+    for b, row in zip(basis, tab):
+        x[b] = row[-1]
+    return x
+
+
+def _feasible_basis(rows, rhs, n):
+    """Phase 1: a canonical tableau with nonnegative right-hand sides for
+    {x >= 0 : A x = b}, as (tab, basis), or None when the set is empty."""
     m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    pivot_cols = []
-    r = 0
+    tab = [list(row) + [b] for row, b in zip(rows, rhs)]
+    basis = [None] * m
     for c in range(n):
-        pivot = None
-        for i in range(r, m):
-            if aug[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    particular = [_Z] * n
-    for row_idx, c in enumerate(pivot_cols):
-        particular[c] = aug[row_idx][n]
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-    basis = []
-    for f in free_cols:
-        vec = [_Z] * n
-        vec[f] = _ONE
-        for row_idx, c in enumerate(pivot_cols):
-            vec[c] = -aug[row_idx][f]
-        basis.append(vec)
-    return particular, basis
-
-
-def _normalize(coeffs, const):
-    for a in coeffs:
-        if a != 0:
-            scale = a if a > 0 else -a
-            return tuple(v / scale for v in coeffs), const / scale
-    return tuple(coeffs), const
-
-
-def _eliminate_var(ineqs, idx):
-    """Fourier-Motzkin elimination of variable idx; returns reduced ineqs
-    (with idx column dropped) or None on an immediate contradiction."""
-    zeros, lowers, uppers = [], [], []
-    for coeffs, const in ineqs:
-        a = coeffs[idx]
-        rest = coeffs[:idx] + coeffs[idx + 1:]
-        if a == 0:
-            if not any(v != 0 for v in rest) and const < 0:
-                return None
-            zeros.append((rest, const))
-        elif a > 0:
-            lowers.append((a, rest, const))
-        else:
-            uppers.append((a, rest, const))
-    out = set()
-    for rest, const in zeros:
-        out.add(_normalize(rest, const))
-    for ap, rp, cp in lowers:
-        for an, rn, cn in uppers:
-            # ap > 0, an < 0: combine so the idx terms cancel.
-            coeffs = tuple(ap * vn - an * vp for vp, vn in zip(rp, rn))
-            const = ap * cn - an * cp
-            if not any(v != 0 for v in coeffs) and const < 0:
-                return None
-            out.add(_normalize(coeffs, const))
-    return list(out)
-
-
-def _elimination_chain(ineqs, nvars):
-    """systems[j] constrains variables 0..j-1; systems[nvars] is the input.
-    Returns None when infeasible."""
-    systems = [None] * (nvars + 1)
-    systems[nvars] = [(tuple(c), k) for c, k in ineqs]
-    for j in range(nvars, 0, -1):
-        reduced = _eliminate_var(systems[j], j - 1)
-        if reduced is None:
-            return None
-        systems[j - 1] = reduced
-    for coeffs, const in systems[0]:
-        if const < 0:
-            return None
-    return systems
-
-
-def _bounds_at(system, values):
-    """Bounds on the highest variable of `system` given lower-var values."""
-    lo = hi = None
-    j = len(values)
-    for coeffs, const in system:
-        a = coeffs[j]
-        if a == 0:
-            continue
-        s = const
-        for v, c in zip(values, coeffs):
-            s += v * c
-        bound = -s / a
-        if a > 0:
-            if lo is None or bound > lo:
-                lo = bound
-        else:
-            if hi is None or bound < hi:
-                hi = bound
-    return lo, hi
-
-
-def fm_feasible_point(ineqs, nvars):
-    """A rational point satisfying all inequalities, or None."""
-    if nvars == 0:
-        return [] if all(const >= 0 for _, const in ineqs) else None
-    systems = _elimination_chain(ineqs, nvars)
-    if systems is None:
+        r = next((i for i in range(m) if basis[i] is None and tab[i][c]), None)
+        if r is not None:
+            _pivot(tab, r, c)
+            basis[r] = c
+    if any(row[-1] for row, b in zip(tab, basis) if b is None):
         return None
-    values = []
-    for j in range(1, nvars + 1):
-        lo, hi = _bounds_at(systems[j], values)
-        if lo is not None:
-            values.append(lo)
-        elif hi is not None:
-            values.append(hi)
-        else:
-            values.append(_Z)
-    return values
-
-
-def fm_interval(ineqs, nvars, idx):
-    """Exact (min, max) of variable idx over the polyhedron; None marks an
-    unbounded side. Assumes the system is feasible."""
-    order = [idx] + [i for i in range(nvars) if i != idx]
-    remapped = [(tuple(coeffs[i] for i in order), const) for coeffs, const in ineqs]
-    system = remapped
-    for j in range(nvars, 1, -1):
-        system = _eliminate_var(system, j - 1)
-        if system is None:
-            return None, None
-    lo, hi = _bounds_at(system, [])
-    return lo, hi
-
-
-def _substitute(ineqs, idx, value):
-    out = []
-    for coeffs, const in ineqs:
-        a = coeffs[idx]
-        rest = coeffs[:idx] + coeffs[idx + 1:]
-        out.append((rest, const + a * value))
-    return out
-
-
-def _point_with_pin(ineqs, nvars, idx, value):
-    rest = fm_feasible_point(_substitute(ineqs, idx, value), nvars - 1)
-    if rest is None:
+    tab = [row for row, b in zip(tab, basis) if b is not None]
+    basis = [b for b in basis if b is not None]
+    neg = [i for i, row in enumerate(tab) if row[-1] < 0]
+    if not neg:
+        return tab, basis
+    # A negative row with no negative entry has no solution x >= 0.
+    if any(all(v >= 0 for v in tab[i][:-1]) for i in neg):
         return None
-    return rest[:idx] + [value] + rest[idx:]
+    # One artificial column a (index n) with -1 in the negative rows. Pivoting
+    # it in at the most negative row makes every right-hand side >= 0; then
+    # minimise a. The original columns keep full row rank, so a row that
+    # still holds a at value 0 has another nonzero entry to pivot on.
+    for row in tab:
+        row.insert(n, -_ONE if row[-1] < 0 else _Z)
+    tab.append([_Z] * n + [_ONE, _Z])
+    r = min(neg, key=lambda i: tab[i][-1])
+    _pivot(tab, r, n)
+    basis[r] = n
+    _minimise(tab, basis)
+    if tab[-1][-1]:
+        return None
+    if n in basis:
+        r = basis.index(n)
+        c = next(j for j in range(n) if tab[r][j])
+        _pivot(tab, r, c)
+        basis[r] = c
+    return [row[:n] + row[-1:] for row in tab[:-1]], basis
 
 
 def solve_nonneg(rows, rhs):
     """A witness x >= 0 with A x = b, or None when none exists."""
-    kind, payload = nonneg_solution_kind(rows, rhs, want_witnesses=True)
-    if kind == "infeasible":
+    n = len(rows[0]) if rows else 0
+    start = _feasible_basis(rows, rhs, n)
+    if start is None:
         return None
-    if kind == "unique":
-        return payload
-    return payload[0]
+    return _point(*start, n)
 
 
-def nonneg_solution_kind(rows, rhs, want_witnesses=True):
+def nonneg_solution_kind(rows, rhs):
     """Classify {x >= 0 : A x = b}.
 
     Returns one of ("infeasible", None), ("unique", x), or
     ("multiple", (x1, x2)) with two distinct nonnegative solutions.
+
+    The support S of the basic solution x0 from phase 1 has independent
+    columns, so x0 is the only solution iff max sum_{j not in S} x_j is 0.
+    Phase 2 decides that from the phase-1 basis: a positive optimum gives
+    a second witness, and an unbounded ray gives two.
     """
-    solved = solve_linear_system(rows, rhs)
-    if solved is None:
+    n = len(rows[0]) if rows else 0
+    start = _feasible_basis(rows, rhs, n)
+    if start is None:
         return "infeasible", None
-    x0, basis = solved
-    n = len(x0)
-    k = len(basis)
-    if k == 0:
-        if all(v >= 0 for v in x0):
-            return "unique", list(x0)
-        return "infeasible", None
-    ineqs = [
-        (tuple(basis[j][r] for j in range(k)), x0[r])
-        for r in range(n)
-    ]
-    if fm_feasible_point(ineqs, k) is None:
-        return "infeasible", None
-
-    def rebuild(t):
-        return [x0[r] + sum(basis[j][r] * t[j] for j in range(k)) for r in range(n)]
-
-    intervals = [fm_interval(ineqs, k, i) for i in range(k)]
-    for i, (lo, hi) in enumerate(intervals):
-        if lo is not None and hi is not None and lo == hi:
-            continue
-        if not want_witnesses:
-            return "multiple", None
-        if lo is not None and hi is not None:
-            v1, v2 = lo, hi
-        elif lo is not None:
-            v1, v2 = lo, lo + 1
-        elif hi is not None:
-            v1, v2 = hi - 1, hi
-        else:
-            v1, v2 = _Z, _ONE
-        t1 = _point_with_pin(ineqs, k, i, v1)
-        t2 = _point_with_pin(ineqs, k, i, v2)
-        return "multiple", (rebuild(t1), rebuild(t2))
-    t = [iv[0] for iv in intervals]
-    return "unique", rebuild(t)
+    tab, basis = start
+    x0 = _point(tab, basis, n)
+    # Objective row for min -sum_{j not in S} x_j; the basic columns outside
+    # S sit at value 0, so their rows are added to zero the row's entries.
+    obj = [_Z if v else -_ONE for v in x0] + [_Z]
+    for b, row in zip(basis, tab):
+        if not x0[b]:
+            obj = [a + v for a, v in zip(obj, row)]
+    tab.append(obj)
+    e = _minimise(tab, basis)
+    x1 = _point(tab, basis, n)
+    if e is not None:
+        x2 = list(x1)
+        x2[e] += _ONE
+        for b, row in zip(basis, tab):
+            x2[b] -= row[e]
+        return "multiple", (x1, x2)
+    if tab[-1][-1]:
+        return "multiple", (x0, x1)
+    return "unique", x0

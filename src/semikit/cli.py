@@ -9,6 +9,7 @@ non-converging computation (witness in the report), 2 input error.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 
@@ -120,6 +121,28 @@ def _build_parser():
     return top
 
 
+def _spec(path):
+    payload = jsonio.load_payload(path)
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path} must hold a JSON object")
+    return payload
+
+
+def _count(value, what):
+    """A positive integer from a flag or a spec field."""
+    n = jsonio._wrap_parse(int, what, value)
+    if n < 1:
+        raise ParseError(f"{what} must be a positive integer, got {value!r}")
+    return n
+
+
+def _tol(text):
+    tol = jsonio._wrap_parse(float, "--tol", text)
+    if not 0 < tol < math.inf:
+        raise ParseError(f"--tol must be a positive finite number, got {text!r}")
+    return tol
+
+
 def _cmd_eigen(args):
     m = jsonio.load_matrix_file(args.matrix)
     if args.exact_2x2:
@@ -138,7 +161,7 @@ def _cmd_eigen(args):
                 "upper-triangular matrices only"
             )
         return {"mode": "exact-2x2", "case": case, "eigenpairs": pairs}, True
-    pair = perron_power_iteration(m, tol=float(args.tol))
+    pair = perron_power_iteration(m, tol=_tol(args.tol))
     return {"mode": "perron", "eigenpairs": [pair]}, True
 
 
@@ -151,16 +174,17 @@ def _cmd_metric(args):
 
 def _cmd_opnorm(args):
     m = jsonio.load_matrix_file(args.matrix)
-    report = operator_norm(SemiLinearMap(m), _KINDS[args.kind], tol=float(args.tol))
+    report = operator_norm(SemiLinearMap(m), _KINDS[args.kind], tol=_tol(args.tol))
     return {"opnorm": report}, True
 
 
 def _cmd_audit(args):
     rng = random.Random(args.seed)
     family = args.family
-    spec = jsonio.load_payload(args.spec) if args.spec else {}
-    dim = int(spec.get("dim", args.dim))
-    lam = spec.get("lambda", "2")
+    spec = _spec(args.spec) if args.spec else {}
+    dim = _count(spec.get("dim", args.dim), "dim")
+    samples = _count(args.samples, "--samples")
+    lam = jsonio.parse_scalar_text(spec.get("lambda", "2"))
 
     if family == "preserver":
         if args.fn is None and "fn" not in spec:
@@ -169,7 +193,9 @@ def _cmd_audit(args):
         candidate = CandidatePreserver(jsonio.parse_plfn(fn_payload))
         metrics = None
         if "metrics" in spec:
-            metrics = [jsonio.parse_semimetric(t) for t in spec["metrics"]]
+            metrics = jsonio._wrap_parse(
+                lambda ts: [jsonio.parse_semimetric(t) for t in ts], "metrics", spec["metrics"]
+            )
         report = preserver_falsify(candidate, metrics)
         return {"family": family, "report": report}, report["verdict"] == "not_falsified"
 
@@ -177,7 +203,9 @@ def _cmd_audit(args):
         dims = spec.get("dims") or [
             rng.randint(1, 4) for _ in range(4)
         ]
-        u_dim, v_dim, w_dim, x_dim = dims
+        if not isinstance(dims, list) or len(dims) != 4:
+            raise ParseError("dims must list four dimensions")
+        u_dim, v_dim, w_dim, x_dim = dims = [_count(d, "dims entry") for d in dims]
         def rand_map(out_d, in_d):
             return LinearMapQ(
                 [random_signed_vector(rng, in_d) for _ in range(out_d)]
@@ -186,13 +214,15 @@ def _cmd_audit(args):
         t2 = rand_map(v_dim, w_dim)
         t3 = rand_map(w_dim, x_dim)
         norms = [random_seminorm(rng, u_dim) for _ in range(2)]
-        report = category_laws_audit(t1, t2, t3, norms, samples=args.samples, seed=args.seed)
+        report = category_laws_audit(t1, t2, t3, norms, samples=samples, seed=args.seed)
         return {"family": family, "dims": dims, "report": report}, report["ok"]
 
     if family == "semimetric":
         if "tables" in spec:
-            a = jsonio.parse_semimetric(spec["tables"][0])
-            b = jsonio.parse_semimetric(spec["tables"][1])
+            tables = spec["tables"]
+            if not isinstance(tables, list) or len(tables) < 2:
+                raise ParseError("tables must list two semi-metric tables")
+            a, b = jsonio.parse_semimetric(tables[0]), jsonio.parse_semimetric(tables[1])
         else:
             a = random_semimetric(rng, dim)
             b = random_semimetric(rng, dim)
@@ -202,7 +232,7 @@ def _cmd_audit(args):
         a, b = random_inner(rng, dim), random_inner(rng, dim)
     else:
         a, b = random_sublinear(rng, dim), random_sublinear(rng, dim)
-    report = space_closure_audit(family, a, b, lam, samples=args.samples, seed=args.seed)
+    report = space_closure_audit(family, a, b, lam, samples=samples, seed=args.seed)
     return {"family": family, "report": report}, report["ok"]
 
 
@@ -229,26 +259,31 @@ def _parse_hom(spec):
     raise ParseError(f"unknown hom kind {kind!r}")
 
 
+def _embed_spec(spec):
+    u = jsonio.parse_matrix(spec["element"])
+    v = jsonio.parse_matrix(spec.get("partner", spec["element"]))
+    return u, v, jsonio.parse_scalar_text(spec.get("lambda", "2"))
+
+
 def _cmd_algebra(args):
-    spec = jsonio.load_payload(args.spec)
+    spec = _spec(args.spec)
     if args.action == "check-hom":
-        h = _parse_hom(spec)
+        h = jsonio._wrap_parse(_parse_hom, "check-hom spec", spec)
         report = hom_verify(
             h,
-            samples=int(spec.get("samples", 100)),
+            samples=_count(spec.get("samples", 100), "samples"),
             seed=args.seed,
             surjective=bool(spec.get("surjective", False)),
         )
         return {"action": args.action, "report": report}, report["ok"]
     if args.action == "embed":
-        u = jsonio.parse_matrix(spec["element"])
-        v = jsonio.parse_matrix(spec.get("partner", spec["element"]))
-        lam = spec.get("lambda", "2")
+        u, v, lam = jsonio._wrap_parse(_embed_spec, "embed spec", spec)
         report = left_regular_embedding_audit(u, v, lam)
         report["operator"] = left_regular_embed(u)
         return {"action": args.action, "report": report}, report["ok"]
-    constants = spec["constants"]
-    structure = BracketStructure(constants)
+    structure = jsonio._wrap_parse(
+        lambda s: BracketStructure(s["constants"]), "lie-audit spec", spec
+    )
     report = lie_audit(structure, seed=args.seed)
     return {"action": args.action, "report": report}, report["verdict"] == "zero_bracket"
 
@@ -256,7 +291,7 @@ def _cmd_algebra(args):
 def _cmd_mcdm(args):
     alts = [jsonio.parse_ln_vector(a) for a in jsonio.load_payload(args.alts)]
     weights = jsonio.load_payload(args.weights)
-    perm = [int(p) for p in args.perm.split(",")]
+    perm = [_count(p, "--perm entry") for p in args.perm.split(",")]
     report = mcdm_rank(alts, weights, perm)
     report["axiom_footnote"] = (
         "scores live in the saturating ordered layer; see `semikit axioms` "
@@ -266,14 +301,15 @@ def _cmd_mcdm(args):
 
 
 def _cmd_axioms(args):
+    dim, samples = _count(args.dim, "--dim"), _count(args.samples, "--samples")
     spaces = ("rn", "matrices", "polynomials") if args.space == "all" else (args.space,)
     reports = {}
     ok = True
     for sp in spaces:
-        rep = axiom_audit(space=sp, dim=args.dim, samples=args.samples, seed=args.seed)
+        rep = axiom_audit(space=sp, dim=dim, samples=samples, seed=args.seed)
         reports[sp] = rep
         ok = ok and rep["all_hold"]
-    ln_report = axiom_audit_ln(n=2, seed=args.seed, samples=min(args.samples, 2000))
+    ln_report = axiom_audit_ln(n=2, seed=args.seed, samples=min(samples, 2000))
     return {"spaces": reports, "ordered_layer": ln_report}, ok
 
 

@@ -25,10 +25,6 @@ class DimensionMismatch(SemikitError):
     """Operands have incompatible dimensions."""
 
 
-class DimensionCap(SemikitError):
-    """Exact decision procedure invoked above the configured dimension cap."""
-
-
 class NotRepresentable(SemikitError):
     """Vector has no nonnegative coordinate family in the given basis."""
 

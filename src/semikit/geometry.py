@@ -249,8 +249,52 @@ def operator_norm(t: SemiLinearMap, kind: NormKind, tol: float = 1e-9, max_iter:
             "kind": "l2", "lower": 0.0, "upper": 0.0, "value": 0.0,
             "iterations": 0, "converged": True,
         }
-    s = [[s[i][j] for j in live] for i in live]
-    m = len(live)
+    # A^T A may be reducible, and then the iterate's entries in a weaker
+    # block underflow to 0. Each connected component of its live indices
+    # has a positive diagonal, so it is primitive and its own iteration
+    # converges; the norm is the largest component's.
+    lo = hi = 0.0
+    iterations, converged = 0, True
+    for comp in _components(s, live):
+        c_lo, c_hi, it = _cw_bracket([[s[i][j] for j in comp] for i in comp], tol, max_iter)
+        lo, hi = max(lo, c_lo), max(hi, c_hi)
+        iterations = max(iterations, it)
+        converged = converged and c_hi - c_lo <= tol * max(c_hi, 1.0)
+    lower, upper = math.sqrt(lo), math.sqrt(hi)
+    return {
+        "kind": "l2",
+        "lower": lower,
+        "upper": upper,
+        "value": (lower + upper) / 2.0,
+        "iterations": iterations,
+        "converged": converged,
+    }
+
+
+def _components(s, live):
+    """Connected components of the graph i ~ j iff s[i][j] != 0, each as a
+    sorted list of indices from `live`."""
+    seen, comps = set(), []
+    for start in live:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, stack = [], [start]
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j in live:
+                if j not in seen and s[i][j] != 0.0:
+                    seen.add(j)
+                    stack.append(j)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _cw_bracket(s, tol, max_iter):
+    """Power iteration with Collatz-Wielandt bounds (lo, hi, iterations) on
+    the spectral radius of a primitive nonnegative matrix."""
+    m = len(s)
     v = [1.0 / m] * m
     lo, hi = 0.0, float("inf")
     it = 0
@@ -262,15 +306,7 @@ def operator_norm(t: SemiLinearMap, kind: NormKind, tol: float = 1e-9, max_iter:
             break
         total = sum(w)
         v = [x / total for x in w]
-    lower, upper = math.sqrt(lo), math.sqrt(hi)
-    return {
-        "kind": "l2",
-        "lower": lower,
-        "upper": upper,
-        "value": (lower + upper) / 2.0,
-        "iterations": it,
-        "converged": hi - lo <= tol * max(hi, 1.0),
-    }
+    return lo, hi, it
 
 
 @dataclass(frozen=True)

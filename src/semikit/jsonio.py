@@ -145,10 +145,14 @@ def render_table(report: dict) -> str:
 # Parsing.
 
 def _wrap_parse(fn, what, payload):
+    """fn(payload), with any failure other than a SemikitError raised as a
+    ParseError naming `what`: malformed input exits 2, never a traceback."""
     try:
         return fn(payload)
     except SemikitError:
         raise
+    except KeyError as exc:
+        raise ParseError(f"bad {what}: missing key {exc}") from exc
     except Exception as exc:
         raise ParseError(f"bad {what}: {exc}") from exc
 

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import enum
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._backend import RAT, to_int_pair
-from .errors import NegativeScalar, ParseError, ZeroInverse
+from ._backend import RAT, parse_literal, to_int_pair
+from .errors import NegativeScalar, ZeroInverse
 
 __all__ = [
     "NonnegScalar",
@@ -33,11 +32,6 @@ __all__ = [
     "ordered_diff",
     "parse_scalar",
 ]
-
-_INT_RE = re.compile(r"^\d+$")
-_FRAC_RE = re.compile(r"^(\d+)/(\d+)$")
-_DEC_RE = re.compile(r"^\d*\.\d+$")
-
 
 class Order(enum.Enum):
     """Which operand of an ordered difference was larger."""
@@ -155,16 +149,32 @@ class NonnegScalar:
         return hash(self._q)
 
     def __lt__(self, other):
-        return self._q < other._q
+        if isinstance(other, NonnegScalar):
+            return self._q < other._q
+        if isinstance(other, int):
+            return self._q < other
+        return NotImplemented
 
     def __le__(self, other):
-        return self._q <= other._q
+        if isinstance(other, NonnegScalar):
+            return self._q <= other._q
+        if isinstance(other, int):
+            return self._q <= other
+        return NotImplemented
 
     def __gt__(self, other):
-        return self._q > other._q
+        if isinstance(other, NonnegScalar):
+            return self._q > other._q
+        if isinstance(other, int):
+            return self._q > other
+        return NotImplemented
 
     def __ge__(self, other):
-        return self._q >= other._q
+        if isinstance(other, NonnegScalar):
+            return self._q >= other._q
+        if isinstance(other, int):
+            return self._q >= other
+        return NotImplemented
 
     def __float__(self):
         n, d = to_int_pair(self._q)
@@ -182,22 +192,9 @@ class NonnegScalar:
 
 def _parse_literal(text: str):
     """Parse the scalar literal grammar: INT, INT/INT, or DECIMAL (exact)."""
-    text = text.strip()
-    if text.startswith("-"):
-        raise NegativeScalar(f"negative literal not representable: {text!r}")
-    if _INT_RE.match(text):
-        return RAT(int(text))
-    m = _FRAC_RE.match(text)
-    if m:
-        den = int(m.group(2))
-        if den == 0:
-            raise ParseError(f"zero denominator in {text!r}")
-        return RAT(int(m.group(1)), den)
-    if _DEC_RE.match(text):
-        # Fraction parses decimal strings exactly; no float intermediate.
-        f = Fraction(text)
-        return RAT(f.numerator, f.denominator)
-    raise ParseError(f"not a scalar literal (INT, INT/INT, or DECIMAL): {text!r}")
+    if text.strip().startswith("-"):
+        raise NegativeScalar(f"negative literal not representable: {text.strip()!r}")
+    return parse_literal(text)
 
 
 def parse_scalar(text: str) -> NonnegScalar:

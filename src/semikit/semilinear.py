@@ -15,8 +15,7 @@ import random
 from dataclasses import dataclass
 
 from . import _signed
-from ._caps import exact_dim_cap
-from .errors import DimensionCap, DimensionMismatch, NonUnique, NotABasis, NotRepresentable
+from .errors import DimensionMismatch, NonUnique, NotABasis, NotRepresentable
 from .scalar import NonnegScalar
 from .semimodule import SemiBasis, SemiMatrix, SemiVector, coords, random_vector
 
@@ -134,11 +133,6 @@ def image_member(t: SemiLinearMap, w: SemiVector) -> ImageDecision:
     if w.dim != t.codomain_dim:
         raise DimensionMismatch(
             f"target has dimension {w.dim}, codomain is {t.codomain_dim}"
-        )
-    cap = exact_dim_cap()
-    if t.domain_dim > cap:
-        raise DimensionCap(
-            f"domain dimension {t.domain_dim} exceeds the exact-procedure cap {cap}"
         )
     rows = [[e._q for e in t.matrix.row(i)] for i in range(t.codomain_dim)]
     rhs = [w[i]._q for i in range(w.dim)]

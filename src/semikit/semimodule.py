@@ -14,9 +14,7 @@ import random
 from dataclasses import dataclass
 
 from . import _signed
-from ._caps import exact_dim_cap
 from .errors import (
-    DimensionCap,
     DimensionMismatch,
     NonUnique,
     NotRepresentable,
@@ -408,9 +406,6 @@ def _cone_member(generators, w: SemiVector):
     """Exact membership of w in the cone generated by `generators`.
     Returns a coefficient list (NonnegScalar) or None."""
     k = len(generators)
-    cap = exact_dim_cap()
-    if k > cap:
-        raise DimensionCap(f"{k} generators exceed the exact-procedure cap {cap}")
     rows = [
         [generators[j][r]._q for j in range(k)]
         for r in range(w.dim)
@@ -505,8 +500,8 @@ class Coordinates:
 def coords(v: SemiVector, basis: SemiBasis) -> Coordinates:
     """Unique nonnegative coordinates of v in `basis`.
 
-    The decision runs in the sealed signed oracle (exact elimination plus
-    Fourier-Motzkin); the returned family is re-verified in nonnegative
+    The decision runs in the sealed signed oracle (an exact Bland's-rule
+    simplex); the returned family is re-verified in nonnegative
     arithmetic. Raises NotRepresentable when no nonnegative solution
     exists and NonUnique (with two witnesses attached) when the family is
     not unique.
@@ -515,11 +510,6 @@ def coords(v: SemiVector, basis: SemiBasis) -> Coordinates:
         raise NotRepresentable("empty basis represents only nothing")
     if v.dim != basis.ambient_dim:
         raise DimensionMismatch("vector and basis have different ambient dimensions")
-    cap = exact_dim_cap()
-    if v.dim > cap or len(basis) > cap:
-        raise DimensionCap(
-            f"dimensions ({v.dim}, {len(basis)}) exceed the exact-procedure cap {cap}"
-        )
     rows = [
         [basis[j][r]._q for j in range(len(basis))]
         for r in range(v.dim)

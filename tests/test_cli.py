@@ -274,6 +274,47 @@ class TestReportDiscipline:
         assert code == 2
 
 
+# Malformed input, one or more rows per subcommand: (files, argv). Each
+# "@name" in argv is replaced by the path of files[name].
+_M = [["2", "1"], ["1", "2"]]
+_ALTS = [["1/3", "1/2"], ["1/4", "3/4"]]
+MALFORMED = {
+    "eigen-tol-not-a-number": ({"m": _M}, ["eigen", "--matrix", "@m", "--perron", "--tol", "abc"]),
+    "eigen-tol-nan": ({"m": _M}, ["eigen", "--matrix", "@m", "--perron", "--tol", "nan"]),
+    "metric-length-mismatch": (
+        {"x": ["1"], "y": ["1", "2"]}, ["metric", "--kind", "l1", "@x", "@y"]
+    ),
+    "opnorm-tol-not-a-number": ({"m": _M}, ["opnorm", "--kind", "l2", "@m", "--tol", "abc"]),
+    "audit-spec-not-an-object": ({"s": [1, 2]}, ["audit", "--family", "semimetric", "@s"]),
+    "audit-dim-zero": ({"s": {"dim": 0}}, ["audit", "--family", "seminorm", "@s"]),
+    "audit-dims-short": ({"s": {"dims": [1, 2]}}, ["audit", "--family", "category", "@s"]),
+    "audit-one-table": ({"s": {"tables": [[["0"]]]}}, ["audit", "--family", "semimetric", "@s"]),
+    "embed-no-element": ({"s": {"partner": [["1"]]}}, ["algebra", "embed", "@s"]),
+    "check-hom-no-perm": (
+        {"s": {"kind": "monomial_conjugation", "diag": ["1"]}}, ["algebra", "check-hom", "@s"]
+    ),
+    "check-hom-bad-order": ({"s": {"kind": "identity", "order": "x"}}, ["algebra", "check-hom", "@s"]),
+    "lie-audit-bad-constants": ({"s": {"constants": 5}}, ["algebra", "lie-audit", "@s"]),
+    "mcdm-perm-not-numbers": (
+        {"a": _ALTS, "w": ["1/2", "1/2"]},
+        ["mcdm", "rank", "--alts", "@a", "--weights", "@w", "--perm", "x,y"],
+    ),
+    "axioms-dim-zero": ({}, ["axioms", "--dim", "0"]),
+    "axioms-negative-samples": ({}, ["axioms", "--samples", "-1"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exit_2(case, tmp_path, capsys):
+    files, argv = MALFORMED[case]
+    paths = {name: write(tmp_path, f"{name}.json", payload) for name, payload in files.items()}
+    argv = [paths[a[1:]] if a.startswith("@") else a for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "semikit.cli", "--version"],

@@ -199,6 +199,20 @@ class TestOperatorNorm:
         rep = operator_norm(t, NormKind.EUCLIDEAN)
         assert abs(rep["lower"] - 1.0) < 1e-9 and abs(rep["upper"] - 1.0) < 1e-9
 
+    @pytest.mark.parametrize(
+        "rows, sigma",
+        [
+            # A^T A splits into {1, 3} (rank one, eigenvalue 601/225) and {2}.
+            ([["1/3", 0, "8/5"], [0, 1, 0]], math.sqrt(601) / 15),
+            ([[1, 0, 0], [0, 0, 0], [0, 0, 2]], 2.0),
+        ],
+    )
+    def test_l2_reducible_gram(self, rows, sigma):
+        rep = operator_norm(SemiLinearMap(SemiMatrix(rows)), NormKind.EUCLIDEAN)
+        assert rep["converged"]
+        assert rep["lower"] - 1e-12 <= sigma <= rep["upper"] + 1e-12
+        assert rep["upper"] - rep["lower"] <= 1e-9 * sigma
+
     def test_l1_brute_force_over_basis_vectors(self, rng):
         for _ in range(20):
             rows, cols = rng.randint(1, 4), rng.randint(1, 4)

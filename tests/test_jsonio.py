@@ -2,6 +2,7 @@
 contract (scalars always as numerator/denominator)."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -87,6 +88,13 @@ class TestParsing:
             {"levels": ["1"], "intervals": [["-2", "3"]]}
         )
         assert x.support == (-2, 3)
+
+    def test_signed_literals_share_the_scalar_grammar(self):
+        assert jsonio.parse_signed("-3/4") == Fraction(-3, 4)
+        assert jsonio.parse_signed(" -0.5 ") == Fraction(-1, 2)
+        for text in ("1e5", "-1e5", "+3", "--1", "- 3", "1_000", "inf", "-1/0"):
+            with pytest.raises(ParseError):
+                jsonio.parse_signed(text)
 
     def test_bad_json_file(self, tmp_path):
         p = tmp_path / "bad.json"

@@ -47,7 +47,7 @@ class TestConstruction:
         assert NonnegScalar.from_float(0.5) == NonnegScalar(1, 2)
 
     def test_bad_literals(self):
-        for text in ("", "1/0", "a", "1.5.2", "1/2/3"):
+        for text in ("", "1/0", "a", "1.5.2", "1/2/3", "1e5", "+3", "3."):
             with pytest.raises(ParseError):
                 parse_scalar(text)
 
@@ -163,3 +163,14 @@ class TestSemiFieldLaws:
 def test_values_hashable_and_orderable(rng):
     values = sorted({rand_scalar(rng) for _ in range(50)})
     assert all(values[i] <= values[i + 1] for i in range(len(values) - 1))
+
+
+def test_ordering_accepts_what_eq_accepts():
+    one = NonnegScalar(1)
+    assert one == 1 and one < 2 and one <= 1 and one > 0 and one >= 1
+    assert 2 > one and 0 < one
+    for other in (1.5, "2", Fraction(2)):
+        for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+            assert getattr(one, op)(other) is NotImplemented
+    with pytest.raises(TypeError):
+        one < "2"

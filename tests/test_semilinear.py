@@ -12,7 +12,7 @@ from semikit import (
     kernel,
 )
 from semikit import _signed
-from semikit.errors import DimensionCap, DimensionMismatch, NotABasis
+from semikit.errors import DimensionMismatch, NotABasis
 
 from conftest import NS, rand_scalar, rand_vector
 
@@ -125,20 +125,12 @@ class TestImageMember:
             assert image_member(t, w1 + w2).member
             assert image_member(t, w1.scale(lam)).member
 
-    def test_dimension_cap(self):
-        t = SemiLinearMap.identity(13)
-        with pytest.raises(DimensionCap):
-            image_member(t, SemiVector.zero(13))
-
-    def test_cap_override_via_env(self, monkeypatch):
-        t = SemiLinearMap.identity(14)
-        w = SemiVector([NS(1)] * 14)
-        monkeypatch.setenv("SEMIKIT_MAX_DIM", "14")
-        assert image_member(t, w).member
-        monkeypatch.setenv("SEMIKIT_MAX_DIM", "99")  # clamped to the hard ceiling
-        big = SemiLinearMap.identity(17)
-        with pytest.raises(DimensionCap):
-            image_member(big, SemiVector.zero(17))
+    @pytest.mark.parametrize("n", [13, 17])
+    def test_identity_beyond_old_cap(self, rng, n):
+        # 13 and 17 lie above the former dimension cap (12) and its ceiling (16).
+        w = rand_vector(rng, n)
+        d = image_member(SemiLinearMap.identity(n), w)
+        assert d.member and d.witness == w
 
 
 class TestInjectivityProbe:

@@ -15,7 +15,6 @@ from semikit import (
     subspace_check,
 )
 from semikit.errors import (
-    DimensionCap,
     DimensionMismatch,
     NonUnique,
     NotRepresentable,
@@ -142,11 +141,12 @@ class TestCoords:
             remapped = {perm[i - 1] + 1: val for i, val in got.items()}
             assert remapped == base
 
-    def test_dimension_cap(self):
-        n = 13
-        b = SemiBasis.standard(n)
-        with pytest.raises(DimensionCap):
-            coords(SemiVector.zero(n), b)
+    @pytest.mark.parametrize("n", [13, 17])
+    def test_standard_basis_beyond_old_cap(self, rng, n):
+        v = rand_vector(rng, n)
+        c = coords(v, SemiBasis.standard(n))
+        assert c.dense(n) == tuple(v)
+        assert c.certificate["unique"]
 
 
 class TestRegularity:
