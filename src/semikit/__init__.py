@@ -4,9 +4,9 @@ Scalars form a semi-field (no subtraction; ordered differences instead),
 vectors/matrices/polynomials are the coordinate carriers, and the higher
 layers add subtraction-free linear maps, eigen theory, ordered-difference
 metrics, derived function spaces, the matrix semi-algebra, and the fuzzy
-ordered layer. Everything exact is arbitrary-precision rational; the
-compiled gmpy2 core is picked automatically with a pure-Python fallback
-(see semikit._backend).
+ordered layer. Everything exact is an arbitrary-precision
+``fractions.Fraction``; the dot-product kernels run on Python ints over
+a common denominator (see semikit._backend).
 """
 
 from ._backend import BACKEND

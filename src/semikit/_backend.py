@@ -1,56 +1,54 @@
-"""Rational-arithmetic backend selection.
+"""The rational representation and the integer kernel built on it.
 
-Every exact value in this library is an arbitrary-precision rational. The
-hot kernels are therefore rational adds and multiplies, and the fastest
-implementation available is the compiled GMP one shipped by gmpy2. We pick
-the backend once, at import time:
+Every exact value in this library is a ``fractions.Fraction`` in lowest
+terms. ``RAT`` names that type for the rest of the package, and
+``BACKEND`` reports it.
 
-* ``gmpy2.mpq`` when gmpy2 is importable (compiled core), unless the
-  environment variable ``SEMIKIT_PURE_PYTHON=1`` forces the fallback;
-* ``fractions.Fraction`` otherwise (pure-Python fallback, no dependencies).
-
-Both backends normalize to lowest terms and compare equal across types, so
-results are bit-identical either way; only speed differs. See
-``benchmarks/bench_backends.py`` for the comparison.
+Element-wise Fraction arithmetic runs a gcd on every add and multiply.
+Dot-product-shaped loops therefore go through :func:`scaled_ints`
+instead: each operand is brought to integers over one common denominator,
+the products are summed in Python ints, and :func:`scaled_dot` builds one
+Fraction (one gcd) per output. The result is the same rational in lowest
+terms as the element-wise sum.
 """
 
-import os
+import math
 import re
 from fractions import Fraction
+from operator import mul
 
 from .errors import ParseError
 
-__all__ = ["RAT", "BACKEND", "HAVE_GMPY2", "to_int_pair"]
+__all__ = ["RAT", "BACKEND", "to_int_pair", "scaled_ints", "scaled_dot"]
+
+RAT = Fraction
+BACKEND = "fractions"
 
 _INT_RE = re.compile(r"^\d+$")
 _FRAC_RE = re.compile(r"^(\d+)/(\d+)$")
 _DEC_RE = re.compile(r"^\d*\.\d+$")
 
-try:
-    import gmpy2 as _gmpy2
-    HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - exercised via SEMIKIT_PURE_PYTHON
-    _gmpy2 = None
-    HAVE_GMPY2 = False
-
-_force_pure = os.environ.get("SEMIKIT_PURE_PYTHON", "") == "1"
-
-if HAVE_GMPY2 and not _force_pure:
-    RAT = _gmpy2.mpq
-    BACKEND = "gmpy2"
-else:
-    RAT = Fraction
-    BACKEND = "fractions"
-
 
 def to_int_pair(q):
-    """Return (numerator, denominator) of a backend rational as Python ints."""
-    return int(q.numerator), int(q.denominator)
+    """Return (numerator, denominator) of a rational as Python ints."""
+    return q.numerator, q.denominator
+
+
+def scaled_ints(qs):
+    """(ints, den) with qs[i] == ints[i] / den and den the lcm of the
+    denominators of qs (1 for an empty sequence)."""
+    den = math.lcm(*[q.denominator for q in qs])
+    return [q.numerator * (den // q.denominator) for q in qs], den
+
+
+def scaled_dot(a, b):
+    """Exact dot product of two scaled_ints results, as one RAT."""
+    return RAT(sum(map(mul, a[0], b[0])), a[1] * b[1])
 
 
 def parse_literal(text: str):
-    """Exact backend rational from the literal grammar: an optional
-    leading '-', then INT, INT/INT or DECIMAL. No float intermediate."""
+    """Exact rational from the literal grammar: an optional leading '-',
+    then INT, INT/INT or DECIMAL. No float intermediate."""
     text = text.strip()
     negative = text.startswith("-")
     body = text[1:] if negative else text
@@ -62,16 +60,15 @@ def parse_literal(text: str):
             raise ParseError(f"zero denominator in {text!r}")
         q = RAT(int(m.group(1)), den)
     elif _DEC_RE.match(body):
-        f = Fraction(body)
-        q = RAT(f.numerator, f.denominator)
+        q = RAT(body)
     else:
         raise ParseError(f"not a rational literal (INT, INT/INT, or DECIMAL): {text!r}")
     return -q if negative else q
 
 
 def signed_rat(x):
-    """Signed backend rational from an int, Fraction, backend value, or a
-    string literal in the grammar of parse_literal."""
+    """Signed rational from an int, Fraction, or a string literal in the
+    grammar of parse_literal."""
     if isinstance(x, str):
         return parse_literal(x)
     if isinstance(x, float):

@@ -289,8 +289,13 @@ def _cmd_algebra(args):
 
 
 def _cmd_mcdm(args):
-    alts = [jsonio.parse_ln_vector(a) for a in jsonio.load_payload(args.alts)]
+    alts = jsonio.load_payload(args.alts)
+    if not isinstance(alts, list) or not all(isinstance(a, list) for a in alts):
+        raise ParseError(f"--alts {args.alts} must hold a JSON array of arrays")
     weights = jsonio.load_payload(args.weights)
+    if not isinstance(weights, list):
+        raise ParseError(f"--weights {args.weights} must hold a JSON array")
+    alts = [jsonio.parse_ln_vector(a) for a in alts]
     perm = [_count(p, "--perm entry") for p in args.perm.split(",")]
     report = mcdm_rank(alts, weights, perm)
     report["axiom_footnote"] = (

@@ -14,8 +14,10 @@ are audited as symmetric bilinear forms with nonnegative diagonal.
 from __future__ import annotations
 
 import random
+from itertools import islice
+from operator import mul
 
-from ._backend import RAT, signed_rat
+from ._backend import RAT, scaled_dot, scaled_ints, signed_rat
 from .errors import (
     CarrierMismatch,
     DimensionMismatch,
@@ -51,9 +53,6 @@ __all__ = [
     "random_signed_vector",
 ]
 
-_Z = RAT(0)
-
-
 def _q(x):
     """Signed rational from ints, literals (optional leading -), scalars."""
     if isinstance(x, NonnegScalar):
@@ -61,8 +60,11 @@ def _q(x):
     return signed_rat(x)
 
 
-def _absq(x):
-    return x if x >= 0 else -x
+def _scaled_rows(rows):
+    """One common denominator for a whole matrix: (int rows, den)."""
+    flat, den = scaled_ints([q for row in rows for q in row])
+    it = iter(flat)
+    return [list(islice(it, len(row))) for row in rows], den
 
 
 def _vadd(u, v):
@@ -121,40 +123,38 @@ class Functional:
 
 
 def weighted_l1(weights) -> Functional:
-    w = tuple(NonnegScalar(x)._q for x in weights)
-    return Functional(
-        len(w),
-        lambda v: sum((wi * _absq(vi) for wi, vi in zip(w, v)), _Z),
-        "w_l1",
-    )
+    w, w_den = scaled_ints([NonnegScalar(x)._q for x in weights])
+
+    def f(v):
+        x, x_den = scaled_ints(v)
+        return RAT(sum(map(mul, w, map(abs, x))), w_den * x_den)
+
+    return Functional(len(w), f, "w_l1")
 
 
 def weighted_max_abs(weights) -> Functional:
-    w = tuple(NonnegScalar(x)._q for x in weights)
-    return Functional(
-        len(w),
-        lambda v: max(wi * _absq(vi) for wi, vi in zip(w, v)),
-        "w_maxabs",
-    )
+    w, w_den = scaled_ints([NonnegScalar(x)._q for x in weights])
+
+    def f(v):
+        x, x_den = scaled_ints(v)
+        return RAT(max(map(mul, w, map(abs, x))), w_den * x_den)
+
+    return Functional(len(w), f, "w_maxabs")
 
 
 def abs_linear(coeffs) -> Functional:
-    c = tuple(_q(x) for x in coeffs)
-    return Functional(
-        len(c),
-        lambda v: _absq(sum((ci * vi for ci, vi in zip(c, v)), _Z)),
-        "abs_lin",
-    )
+    c = scaled_ints([_q(x) for x in coeffs])
+    return Functional(len(c[0]), lambda v: abs(scaled_dot(c, scaled_ints(v))), "abs_lin")
 
 
 def max_linear(rows) -> Functional:
-    mat = tuple(tuple(_q(x) for x in row) for row in rows)
-    dim = len(mat[0])
-    return Functional(
-        dim,
-        lambda v: max(sum((ci * vi for ci, vi in zip(row, v)), _Z) for row in mat),
-        "max_lin",
-    )
+    mat, den = _scaled_rows([[_q(x) for x in row] for row in rows])
+
+    def f(v):
+        x, x_den = scaled_ints(v)
+        return RAT(max(sum(map(mul, row, x)) for row in mat), den * x_den)
+
+    return Functional(len(mat[0]), f, "max_lin")
 
 
 class BilinearForm:
@@ -186,26 +186,26 @@ class BilinearForm:
 
 def gram_form(rows) -> BilinearForm:
     """(u, v) -> (M u) . (M v); positive semidefinite by construction."""
-    mat = tuple(tuple(_q(x) for x in row) for row in rows)
-    dim = len(mat[0])
+    mat, den = _scaled_rows([[_q(x) for x in row] for row in rows])
 
     def apply(v):
-        return tuple(sum((c * x for c, x in zip(row, v)), _Z) for row in mat)
+        # M v as integers over den * (denominator of v).
+        x, x_den = scaled_ints(v)
+        return [sum(map(mul, row, x)) for row in mat], den * x_den
 
     return BilinearForm(
-        dim,
-        lambda u, v: sum((a * b for a, b in zip(apply(u), apply(v))), _Z),
-        "gram",
+        len(mat[0]), lambda u, v: scaled_dot(apply(u), apply(v)), "gram"
     )
 
 
 class LinearMapQ:
     """Plain signed-rational linear map used by the pullback machinery."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_scaled")
 
     def __init__(self, rows):
         self.rows = tuple(tuple(_q(x) for x in row) for row in rows)
+        self._scaled = _scaled_rows(self.rows)
 
     @classmethod
     def identity(cls, n):
@@ -222,17 +222,20 @@ class LinearMapQ:
     def apply(self, v):
         if len(v) != self.in_dim:
             raise DimensionMismatch("vector does not match map domain")
-        return tuple(sum((c * x for c, x in zip(row, v)), _Z) for row in self.rows)
+        mat, den = self._scaled
+        x, x_den = scaled_ints(v)
+        den *= x_den
+        return tuple(RAT(sum(map(mul, row, x)), den) for row in mat)
 
     def compose(self, inner: "LinearMapQ") -> "LinearMapQ":
         if inner.out_dim != self.in_dim:
             raise NonComposableChain("maps do not chain")
-        cols = list(zip(*inner.rows))
+        mat, den = self._scaled
+        inner_mat, inner_den = inner._scaled
+        den *= inner_den
+        cols = list(zip(*inner_mat))
         return LinearMapQ(
-            [
-                [sum((a * b for a, b in zip(row, col)), _Z) for col in cols]
-                for row in self.rows
-            ]
+            [[RAT(sum(map(mul, row, col)), den) for col in cols] for row in mat]
         )
 
 
@@ -432,7 +435,7 @@ def validate_seminorm(f: Functional, samples=48, seed=0) -> dict:
         alpha = _random_q(rng, signed=True)
         if f(u) < 0:
             failures.append({"axiom": "nonnegative", "u": u})
-        if f(_vscale(alpha, u)) != _absq(alpha) * f(u):
+        if f(_vscale(alpha, u)) != abs(alpha) * f(u):
             failures.append({"axiom": "absolute_homogeneity", "u": u, "alpha": alpha})
         if f(_vadd(u, v)) > f(u) + f(v):
             failures.append({"axiom": "triangle", "u": u, "v": v})

@@ -17,6 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from ._backend import scaled_dot
 from .errors import (
     DimensionMismatch,
     IntervalMismatch,
@@ -24,7 +25,7 @@ from .errors import (
 )
 from .scalar import NonnegScalar, ONE, ZERO, _gap, exact_sqrt
 from .semilinear import SemiLinearMap
-from .semimodule import SemiVector, random_vector
+from .semimodule import SemiVector, _scaled, random_vector
 
 __all__ = [
     "NormKind",
@@ -143,7 +144,8 @@ def dot(u: SemiVector, v: SemiVector) -> NonnegScalar:
     """Exact dot product; its diagonal is the Euclidean radicand."""
     if u.dim != v.dim:
         raise DimensionMismatch("dot product needs equal lengths")
-    return sum((a * b for a, b in zip(u, v)), ZERO)
+    x = _scaled(u)
+    return NonnegScalar._wrap(scaled_dot(x, x if v is u else _scaled(v)))
 
 
 def norm(v: SemiVector, kind: NormKind):

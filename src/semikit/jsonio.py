@@ -39,7 +39,7 @@ def to_jsonable(obj):
         return obj
     if isinstance(obj, NonnegScalar):
         return obj.literal
-    if isinstance(obj, (Fraction,)) or type(obj).__name__ == "mpq":
+    if isinstance(obj, Fraction):
         return _signed_literal(obj)
     if isinstance(obj, Radical):
         exact = obj.exact()

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 
 from . import _signed
+from ._backend import scaled_dot, scaled_ints
 from .errors import (
     DimensionMismatch,
     NonUnique,
@@ -40,6 +41,11 @@ __all__ = [
 
 def _to_scalar(x) -> NonnegScalar:
     return x if isinstance(x, NonnegScalar) else NonnegScalar(x)
+
+
+def _scaled(scalars):
+    """scaled_ints of a row of NonnegScalars."""
+    return scaled_ints([s._q for s in scalars])
 
 
 class SemiVector:
@@ -207,27 +213,22 @@ class SemiMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        cols = other.transpose()._rows
-        out = []
-        for row in self._rows:
-            out.append(
-                tuple(
-                    sum((a * b for a, b in zip(row, col)), ZERO)
-                    for col in cols
-                )
+        cols = [_scaled(col) for col in zip(*other._rows)]
+        return SemiMatrix._wrap(
+            tuple(
+                tuple(NonnegScalar._wrap(scaled_dot(row, col)) for col in cols)
+                for row in map(_scaled, self._rows)
             )
-        return SemiMatrix._wrap(tuple(out))
+        )
 
     def apply(self, v: SemiVector) -> SemiVector:
         if v.dim != self.ncols:
             raise DimensionMismatch(
                 f"matrix has {self.ncols} columns, vector has {v.dim}"
             )
+        x = _scaled(v._coords)
         return SemiVector._wrap(
-            tuple(
-                sum((a * b for a, b in zip(row, v)), ZERO)
-                for row in self._rows
-            )
+            tuple(NonnegScalar._wrap(scaled_dot(_scaled(row), x)) for row in self._rows)
         )
 
     @property

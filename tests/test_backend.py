@@ -1,14 +1,8 @@
-import os
-import subprocess
-import sys
-
-from semikit._backend import BACKEND, HAVE_GMPY2, RAT, signed_rat, to_int_pair
+from semikit._backend import BACKEND, RAT, signed_rat, to_int_pair
 
 
 def test_backend_selected():
-    assert BACKEND in ("gmpy2", "fractions")
-    if HAVE_GMPY2 and os.environ.get("SEMIKIT_PURE_PYTHON") != "1":
-        assert BACKEND == "gmpy2"
+    assert BACKEND == "fractions"
 
 
 def test_rational_semantics():
@@ -20,42 +14,3 @@ def test_signed_literal_parsing():
     assert signed_rat("-3/4") == RAT(-3, 4)
     assert signed_rat("0.75") == RAT(3, 4)
     assert signed_rat(2) == RAT(2)
-
-
-_PROBE = """
-import semikit
-from semikit import NonnegScalar, SemiVector, metric, NormKind
-assert semikit.BACKEND == "fractions", semikit.BACKEND
-d = metric(SemiVector(["3", "1"]), SemiVector(["1", "2"]), NormKind.L1)
-assert d.literal == "3/1"
-print("ok")
-"""
-
-
-def test_pure_python_fallback_subprocess():
-    env = dict(os.environ, SEMIKIT_PURE_PYTHON="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", _PROBE], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
-
-
-def test_backends_agree_on_results():
-    # Identical exact values regardless of backend: run a small audit in a
-    # pure-python subprocess and compare the serialized report.
-    script = (
-        "from semikit.semimodule import axiom_audit\n"
-        "from semikit import jsonio\n"
-        "r = axiom_audit(space='rn', dim=3, samples=50, seed=4)\n"
-        "print(jsonio.render_json(jsonio.to_jsonable(r)))\n"
-    )
-    outs = []
-    for pure in ("0", "1"):
-        env = dict(os.environ, SEMIKIT_PURE_PYTHON=pure)
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 0, proc.stderr
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]

@@ -274,8 +274,9 @@ class TestReportDiscipline:
         assert code == 2
 
 
-# Malformed input, one or more rows per subcommand: (files, argv). Each
-# "@name" in argv is replaced by the path of files[name].
+# Malformed input, one or more rows per subcommand: (files, argv) or
+# (files, argv, text the error message must contain). Each "@name" in argv
+# is replaced by the path of files[name].
 _M = [["2", "1"], ["1", "2"]]
 _ALTS = [["1/3", "1/2"], ["1/4", "3/4"]]
 MALFORMED = {
@@ -299,6 +300,21 @@ MALFORMED = {
         {"a": _ALTS, "w": ["1/2", "1/2"]},
         ["mcdm", "rank", "--alts", "@a", "--weights", "@w", "--perm", "x,y"],
     ),
+    "mcdm-weights-object": (
+        {"a": _ALTS, "w": {"a": 1}},
+        ["mcdm", "rank", "--alts", "@a", "--weights", "@w", "--perm", "1,2"],
+        "--weights",
+    ),
+    "mcdm-weights-string": (
+        {"a": _ALTS, "w": "0.5"},
+        ["mcdm", "rank", "--alts", "@a", "--weights", "@w", "--perm", "1,2"],
+        "--weights",
+    ),
+    "mcdm-alts-flat": (
+        {"a": ["1/3", "1/2"], "w": ["1/2", "1/2"]},
+        ["mcdm", "rank", "--alts", "@a", "--weights", "@w", "--perm", "1,2"],
+        "--alts",
+    ),
     "axioms-dim-zero": ({}, ["axioms", "--dim", "0"]),
     "axioms-negative-samples": ({}, ["axioms", "--samples", "-1"]),
 }
@@ -306,13 +322,14 @@ MALFORMED = {
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exit_2(case, tmp_path, capsys):
-    files, argv = MALFORMED[case]
+    files, argv, *needles = MALFORMED[case]
     paths = {name: write(tmp_path, f"{name}.json", payload) for name, payload in files.items()}
     argv = [paths[a[1:]] if a.startswith("@") else a for a in argv]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == "" and captured.err.startswith("error: ")
+    assert all(needle in captured.err for needle in needles)
 
 
 def test_console_entry_point_runs():
