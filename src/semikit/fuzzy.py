@@ -208,6 +208,14 @@ class LnVector:
         self.coords = items
 
     @classmethod
+    def _wrap(cls, items):
+        """Wrap a tuple already known to be a nondecreasing vector in
+        [0, 1] (internal: results of the closed operations)."""
+        obj = object.__new__(cls)
+        obj.coords = items
+        return obj
+
+    @classmethod
     def constant(cls, value, n: int) -> "LnVector":
         return cls([value] * n)
 
@@ -240,14 +248,15 @@ def _check_dims(u: LnVector, v: LnVector):
 
 def ln_oplus(u: LnVector, v: LnVector) -> LnVector:
     """Componentwise truncated sum min(1, x + y); sortedness survives
-    because truncation is monotone."""
+    because truncation is monotone, so the result needs no re-validation."""
     _check_dims(u, v)
-    return LnVector([min(_ONE, a + b) for a, b in zip(u, v)])
+    return LnVector._wrap(tuple([min(_ONE, a + b) for a, b in zip(u.coords, v.coords)]))
 
 
 def ln_scale(r, v: LnVector) -> LnVector:
+    """r * v for r in [0, 1]: again nondecreasing and in [0, 1]."""
     r = _unit(r)
-    return LnVector([r * a for a in v])
+    return LnVector._wrap(tuple([r * a for a in v.coords]))
 
 
 def product_order_leq(u: LnVector, v: LnVector) -> bool:

@@ -1,8 +1,10 @@
 """Norms, ordered-difference metrics, and the desk-scale sequence and
 function spaces.
 
-Distances are built from per-coordinate gaps (max = min + c), never from
-signed subtraction. Euclidean quantities keep their exact radicand in a
+Distances are built from per-coordinate gaps (max = min + c). Each gap is
+still the ordered difference of two coordinates, taken in integers over
+the common denominator of both vectors, so a distance costs one Fraction
+rather than one per coordinate. Euclidean quantities keep their exact radicand in a
 Radical wrapper so comparisons and triangle checks stay in rational
 arithmetic; a float view is available for display. The sequence space
 uses eventually-constant representatives and the function space
@@ -17,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from ._backend import scaled_dot
+from ._backend import RAT, scaled_dot
 from .errors import (
     DimensionMismatch,
     IntervalMismatch,
@@ -25,7 +27,7 @@ from .errors import (
 )
 from .scalar import NonnegScalar, ONE, ZERO, _gap, exact_sqrt
 from .semilinear import SemiLinearMap
-from .semimodule import SemiVector, _scaled, random_vector
+from .semimodule import SemiVector, random_vector
 
 __all__ = [
     "NormKind",
@@ -144,29 +146,33 @@ def dot(u: SemiVector, v: SemiVector) -> NonnegScalar:
     """Exact dot product; its diagonal is the Euclidean radicand."""
     if u.dim != v.dim:
         raise DimensionMismatch("dot product needs equal lengths")
-    x = _scaled(u)
-    return NonnegScalar._wrap(scaled_dot(x, x if v is u else _scaled(v)))
+    return NonnegScalar._wrap(scaled_dot(u._scaled(), v._scaled()))
 
 
 def norm(v: SemiVector, kind: NormKind):
     """L1 and LInf are exact scalars; Euclidean returns a Radical."""
     if kind is NormKind.L1:
-        return sum(iter(v), ZERO)
+        ints, den = v._scaled()
+        return NonnegScalar._wrap(RAT(sum(ints), den))
     if kind is NormKind.LINF:
         return max(iter(v))
     return Radical(dot(v, v), 2)
 
 
 def metric(x: SemiVector, y: SemiVector, kind: NormKind):
-    """Distance from the per-coordinate ordered gaps c_i."""
+    """Distance from the per-coordinate ordered gaps c_i, each taken as
+    |a fa - b fb| over the common denominator lcm(dx, dy)."""
     if x.dim != y.dim:
         raise DimensionMismatch("metric needs equal lengths")
-    gaps = [_gap(a, b) for a, b in zip(x, y)]
+    (xs, dx), (ys, dy) = x._scaled(), y._scaled()
+    den = math.lcm(dx, dy)
+    fx, fy = den // dx, den // dy
+    gaps = [abs(a * fx - b * fy) for a, b in zip(xs, ys)]
     if kind is NormKind.L1:
-        return sum(gaps, ZERO)
+        return NonnegScalar._wrap(RAT(sum(gaps), den))
     if kind is NormKind.LINF:
-        return max(gaps)
-    return Radical(sum((g * g for g in gaps), ZERO), 2)
+        return NonnegScalar._wrap(RAT(max(gaps), den))
+    return Radical(NonnegScalar._wrap(RAT(sum(g * g for g in gaps), den * den)), 2)
 
 
 def sqrt_leq_sum_of_sqrts(s: NonnegScalar, t: NonnegScalar, u: NonnegScalar) -> bool:

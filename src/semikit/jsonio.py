@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from ._backend import signed_rat, to_int_pair
+from ._backend import bounded_int, signed_rat, to_int_pair
 from .derived import FiniteSemiMetric, Functional
 from .eigen import EigenPair
 from .errors import ParseError, SemikitError
@@ -246,7 +246,7 @@ def load_payload(path: str):
     if path.endswith(".csv"):
         return {"__csv__": text}
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=bounded_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 

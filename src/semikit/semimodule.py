@@ -6,6 +6,14 @@ which axiom_audit exercises on seeded random samples. SemiBasis plus
 coords give exact nonnegative coordinates with a uniqueness certificate,
 and subspace_check audits finitely generated cones with an exact
 membership oracle.
+
+Each carrier holds its entries as NonnegScalars, its scaled form (the
+entries as integers over the lcm of their denominators, see
+``_backend.scaled_ints``; one form per row of a matrix), or both. A
+missing one is derived on first use and then kept. Constructors store
+entries; + and scale run on the scaled form and store only that, so a
+chain of them runs in Python ints with one gcd per result. The form is
+canonical, so == and hash compare it directly.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import random
 from dataclasses import dataclass
 
 from . import _signed
-from ._backend import scaled_dot, scaled_ints
+from ._backend import RAT, scaled_add, scaled_dot, scaled_ints, scaled_scale, unscaled
 from .errors import (
     DimensionMismatch,
     NonUnique,
@@ -43,27 +51,55 @@ def _to_scalar(x) -> NonnegScalar:
     return x if isinstance(x, NonnegScalar) else NonnegScalar(x)
 
 
-def _scaled(scalars):
-    """scaled_ints of a row of NonnegScalars."""
+def _scale_form(scalars):
+    """Scaled form of a sequence of NonnegScalars."""
     return scaled_ints([s._q for s in scalars])
+
+
+def _entries_of(form):
+    """The NonnegScalars of a scaled form."""
+    return tuple(map(NonnegScalar._wrap, unscaled(form)))
+
+
+def _form_key(form):
+    return tuple(form[0]), form[1]
 
 
 class SemiVector:
     """Dense vector with nonnegative rational coordinates, length >= 1."""
 
-    __slots__ = ("_coords",)
+    __slots__ = ("_coords", "_form")
 
     def __init__(self, coords):
         items = tuple(_to_scalar(c) for c in coords)
         if not items:
             raise DimensionMismatch("a vector needs at least one coordinate")
         self._coords = items
+        self._form = None
 
     @classmethod
     def _wrap(cls, items):
         obj = object.__new__(cls)
         obj._coords = items
+        obj._form = None
         return obj
+
+    @classmethod
+    def _from_form(cls, form):
+        obj = object.__new__(cls)
+        obj._coords = None
+        obj._form = form
+        return obj
+
+    def _entries(self):
+        if self._coords is None:
+            self._coords = _entries_of(self._form)
+        return self._coords
+
+    def _scaled(self):
+        if self._form is None:
+            self._form = _scale_form(self._coords)
+        return self._form
 
     @classmethod
     def zero(cls, n: int) -> "SemiVector":
@@ -78,35 +114,31 @@ class SemiVector:
 
     @property
     def dim(self) -> int:
-        return len(self._coords)
+        return len(self)
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self._coords)
+        return not any(self._scaled()[0])
 
     def __len__(self):
-        return len(self._coords)
+        return len(self._coords if self._coords is not None else self._form[0])
 
     def __iter__(self):
-        return iter(self._coords)
+        return iter(self._entries())
 
     def __getitem__(self, i):
-        return self._coords[i]
+        return self._entries()[i]
 
     def __add__(self, other):
         if not isinstance(other, SemiVector):
             return NotImplemented
-        if len(self._coords) != len(other._coords):
-            raise DimensionMismatch(
-                f"vector lengths differ: {len(self._coords)} vs {len(other._coords)}"
-            )
-        return SemiVector._wrap(
-            tuple(a + b for a, b in zip(self._coords, other._coords))
-        )
+        if len(self) != len(other):
+            raise DimensionMismatch(f"vector lengths differ: {len(self)} vs {len(other)}")
+        return SemiVector._from_form(scaled_add(self._scaled(), other._scaled()))
 
     def scale(self, lam) -> "SemiVector":
         lam = _to_scalar(lam)
-        return SemiVector._wrap(tuple(lam * c for c in self._coords))
+        return SemiVector._from_form(scaled_scale(lam._q, self._scaled()))
 
     def __rmul__(self, lam):
         if isinstance(lam, (NonnegScalar, int, str)):
@@ -116,20 +148,22 @@ class SemiVector:
     def __eq__(self, other):
         if not isinstance(other, SemiVector):
             return NotImplemented
-        return self._coords == other._coords
+        return self._scaled() == other._scaled()
 
     def __hash__(self):
-        return hash(self._coords)
+        return hash(_form_key(self._scaled()))
 
     def __repr__(self):
-        inner = ", ".join(c.literal for c in self._coords)
+        inner = ", ".join(c.literal for c in self._entries())
         return f"SemiVector([{inner}])"
 
 
 class SemiMatrix:
-    """Dense n x m matrix of nonnegative rationals."""
+    """Dense n x m matrix of nonnegative rationals; its scaled form is one
+    form per row (a matrix-wide lcm would make every row as wide as the
+    widest denominator product)."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_forms")
 
     def __init__(self, rows):
         packed = tuple(tuple(_to_scalar(e) for e in row) for row in rows)
@@ -139,12 +173,31 @@ class SemiMatrix:
         if any(len(r) != width for r in packed):
             raise DimensionMismatch("ragged rows in matrix")
         self._rows = packed
+        self._forms = None
 
     @classmethod
     def _wrap(cls, rows):
         obj = object.__new__(cls)
         obj._rows = rows
+        obj._forms = None
         return obj
+
+    @classmethod
+    def _from_forms(cls, forms):
+        obj = object.__new__(cls)
+        obj._rows = None
+        obj._forms = forms
+        return obj
+
+    def _entries(self):
+        if self._rows is None:
+            self._rows = tuple(map(_entries_of, self._forms))
+        return self._rows
+
+    def _scaled(self):
+        if self._forms is None:
+            self._forms = tuple(map(_scale_form, self._rows))
+        return self._forms
 
     @classmethod
     def zero(cls, n: int, m: int) -> "SemiMatrix":
@@ -158,48 +211,43 @@ class SemiMatrix:
 
     @property
     def nrows(self) -> int:
-        return len(self._rows)
+        return len(self._rows if self._rows is not None else self._forms)
 
     @property
     def ncols(self) -> int:
-        return len(self._rows[0])
+        return len(self._rows[0] if self._rows is not None else self._forms[0][0])
 
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
     def row(self, i):
-        return self._rows[i]
+        return self._entries()[i]
 
     def column(self, j):
-        return tuple(r[j] for r in self._rows)
+        return tuple(r[j] for r in self._entries())
 
     def entry(self, i, j) -> NonnegScalar:
-        return self._rows[i][j]
+        return self._entries()[i][j]
 
     def rows(self):
-        return self._rows
+        return self._entries()
 
     def transpose(self) -> "SemiMatrix":
-        return SemiMatrix._wrap(tuple(zip(*self._rows)))
+        return SemiMatrix._wrap(tuple(zip(*self._entries())))
 
     def __add__(self, other):
         if not isinstance(other, SemiMatrix):
             return NotImplemented
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise DimensionMismatch("matrix shapes differ")
-        return SemiMatrix._wrap(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self._rows, other._rows)
-            )
+        return SemiMatrix._from_forms(
+            tuple(map(scaled_add, self._scaled(), other._scaled()))
         )
 
     def scale(self, lam) -> "SemiMatrix":
-        lam = _to_scalar(lam)
-        return SemiMatrix._wrap(
-            tuple(tuple(lam * e for e in row) for row in self._rows)
-        )
+        q = _to_scalar(lam)._q
+        return SemiMatrix._from_forms(tuple(scaled_scale(q, f) for f in self._scaled()))
 
     def __rmul__(self, lam):
         if isinstance(lam, (NonnegScalar, int, str)):
@@ -213,11 +261,11 @@ class SemiMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        cols = [_scaled(col) for col in zip(*other._rows)]
+        cols = [_scale_form(col) for col in zip(*other._entries())]
         return SemiMatrix._wrap(
             tuple(
                 tuple(NonnegScalar._wrap(scaled_dot(row, col)) for col in cols)
-                for row in map(_scaled, self._rows)
+                for row in self._scaled()
             )
         )
 
@@ -226,25 +274,37 @@ class SemiMatrix:
             raise DimensionMismatch(
                 f"matrix has {self.ncols} columns, vector has {v.dim}"
             )
-        x = _scaled(v._coords)
+        x = v._scaled()
         return SemiVector._wrap(
-            tuple(NonnegScalar._wrap(scaled_dot(_scaled(row), x)) for row in self._rows)
+            tuple(NonnegScalar._wrap(scaled_dot(row, x)) for row in self._scaled())
         )
 
     @property
     def is_zero(self) -> bool:
-        return all(e.is_zero for row in self._rows for e in row)
+        return not any(any(ints) for ints, _ in self._scaled())
 
     def __eq__(self, other):
         if not isinstance(other, SemiMatrix):
             return NotImplemented
-        return self._rows == other._rows
+        return self._scaled() == other._scaled()
 
     def __hash__(self):
-        return hash(self._rows)
+        return hash(tuple(map(_form_key, self._scaled())))
 
     def __repr__(self):
         return f"SemiMatrix({self.nrows}x{self.ncols})"
+
+
+def _strip(form):
+    """A polynomial's scaled form without trailing zero coefficients; the
+    zero polynomial's is ([], 1)."""
+    ints, den = form
+    k = len(ints)
+    while k and not ints[k - 1]:
+        k -= 1
+    if k == len(ints):
+        return form
+    return ints[:k], den if k else 1
 
 
 class SemiPolynomial:
@@ -254,13 +314,31 @@ class SemiPolynomial:
     zeros are stripped so the degree is explicit.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_form")
 
     def __init__(self, coefficients):
         items = [_to_scalar(c) for c in coefficients]
         while items and items[-1].is_zero:
             items.pop()
         self._coeffs = tuple(items)
+        self._form = None
+
+    @classmethod
+    def _from_form(cls, form):
+        obj = object.__new__(cls)
+        obj._coeffs = None
+        obj._form = _strip(form)
+        return obj
+
+    def _entries(self):
+        if self._coeffs is None:
+            self._coeffs = _entries_of(self._form)
+        return self._coeffs
+
+    def _scaled(self):
+        if self._form is None:
+            self._form = _scale_form(self._coeffs)
+        return self._form
 
     @classmethod
     def zero(cls) -> "SemiPolynomial":
@@ -269,35 +347,38 @@ class SemiPolynomial:
     @property
     def degree(self):
         """Degree as an int, or None for the zero polynomial."""
-        return len(self._coeffs) - 1 if self._coeffs else None
+        n = len(self._coeffs if self._coeffs is not None else self._form[0])
+        return n - 1 if n else None
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return self.degree is None
 
     def coefficient(self, k: int) -> NonnegScalar:
-        return self._coeffs[k] if k < len(self._coeffs) else ZERO
+        coeffs = self._entries()
+        return coeffs[k] if k < len(coeffs) else ZERO
 
     def coefficients(self):
-        return self._coeffs
+        return self._entries()
 
     def evaluate(self, x: NonnegScalar) -> NonnegScalar:
         acc = ZERO
-        for c in reversed(self._coeffs):
+        for c in reversed(self._entries()):
             acc = acc * x + c
         return acc
 
     def __add__(self, other):
         if not isinstance(other, SemiPolynomial):
             return NotImplemented
-        n = max(len(self._coeffs), len(other._coeffs))
-        return SemiPolynomial(
-            tuple(self.coefficient(k) + other.coefficient(k) for k in range(n))
+        (a, da), (b, db) = self._scaled(), other._scaled()
+        n = max(len(a), len(b))
+        return SemiPolynomial._from_form(
+            scaled_add((a + [0] * (n - len(a)), da), (b + [0] * (n - len(b)), db))
         )
 
     def scale(self, lam) -> "SemiPolynomial":
         lam = _to_scalar(lam)
-        return SemiPolynomial(tuple(lam * c for c in self._coeffs))
+        return SemiPolynomial._from_form(scaled_scale(lam._q, self._scaled()))
 
     def __rmul__(self, lam):
         if isinstance(lam, (NonnegScalar, int, str)):
@@ -307,13 +388,13 @@ class SemiPolynomial:
     def __eq__(self, other):
         if not isinstance(other, SemiPolynomial):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._scaled() == other._scaled()
 
     def __hash__(self):
-        return hash(self._coeffs)
+        return hash(_form_key(self._scaled()))
 
     def __repr__(self):
-        if not self._coeffs:
+        if self.is_zero:
             return "SemiPolynomial(0)"
         return f"SemiPolynomial(degree={self.degree})"
 
@@ -396,7 +477,7 @@ def is_simple_space(n: int) -> bool:
 def random_scalar(rng: random.Random, max_num=60, max_den=12, allow_zero=True) -> NonnegScalar:
     num = rng.randint(0 if allow_zero else 1, max_num)
     den = rng.randint(1, max_den)
-    return NonnegScalar(num, den)
+    return NonnegScalar._wrap(RAT(num, den))
 
 
 def random_vector(rng: random.Random, n: int, **kw) -> SemiVector:

@@ -285,6 +285,9 @@ MALFORMED = {
     "metric-length-mismatch": (
         {"x": ["1"], "y": ["1", "2"]}, ["metric", "--kind", "l1", "@x", "@y"]
     ),
+    "metric-literal-too-long": (
+        {"x": ["7" * 4301, "1"], "y": ["1", "1"]}, ["metric", "--kind", "l2", "@x", "@y"], "digits"
+    ),
     "opnorm-tol-not-a-number": ({"m": _M}, ["opnorm", "--kind", "l2", "@m", "--tol", "abc"]),
     "audit-spec-not-an-object": ({"s": [1, 2]}, ["audit", "--family", "semimetric", "@s"]),
     "audit-dim-zero": ({"s": {"dim": 0}}, ["audit", "--family", "seminorm", "@s"]),
