@@ -8,29 +8,44 @@ functions whose outputs are either verdicts or witnesses that callers
 re-verify in pure nonnegative arithmetic before returning them.
 
 The procedure is an exact simplex method with Bland's rule (Bland 1977),
-which cannot cycle. A tableau is a list of rows, each a list of raw backend
-rationals (signed allowed) whose last entry is the right-hand side;
-``basis[i]`` is the column that row i solves for. Phase 1 starts from the
-Gauss-Jordan form of [A | b], which is already a canonical tableau, so it
-pivots only when some right-hand side is negative.
+which cannot cycle. It runs fraction-free (Edmonds 1967; Bareiss 1968): a
+tableau is a list of rows of Python ints whose last entry is the
+right-hand side, and each row stands for the rational row it is a
+*positive* multiple of. ``basis[i]`` is the column that row i solves for,
+so ``row[basis[i]] > 0`` is that row's scale and the basic value is
+``row[-1] / row[basis[i]]``. Every sign, every ratio and so every Bland
+choice is the same as on the rational tableau; ratios are compared by
+cross-multiplying, and rationals are built only for the witnesses. A pivot
+costs integer multiply-adds and one gcd per row.
+
+Phase 1 starts from the Gauss-Jordan form of [A | b], which is already a
+canonical tableau, so it pivots only when some right-hand side is negative.
 """
 
-from ._backend import RAT
+import math
 
-_Z = RAT(0)
-_ONE = RAT(1)
+from ._backend import RAT, scaled_ints
+
+
+def _reduced(row):
+    """The row divided by the gcd of its entries (a positive factor)."""
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
 
 def _pivot(tab, r, c):
-    """Make column c a unit column with its 1 in row r, updating every row
-    of `tab` (the objective row too, when it is the last one)."""
+    """Make column c a unit column (up to its row's scale) with its nonzero
+    in row r, updating every row of `tab` (the objective row too, when it
+    is the last one)."""
     row = tab[r]
-    inv = _ONE / row[c]
-    row = tab[r] = [v * inv if v else v for v in row]
+    p = row[c]
+    if p < 0:
+        row = tab[r] = [-v for v in row]
+        p = -p
     for i, other in enumerate(tab):
         f = other[c]
         if f and i != r:
-            tab[i] = [a - f * b if b else a for a, b in zip(other, row)]
+            tab[i] = _reduced([a * p - f * b for a, b in zip(other, row)])
 
 
 def _minimise(tab, basis):
@@ -42,12 +57,17 @@ def _minimise(tab, basis):
         e = next((j for j, d in enumerate(obj[:-1]) if d < 0), None)
         if e is None:
             return None
-        leave = ratio = None
+        leave = None
         for i, row in enumerate(tab[:-1]):
             if row[e] > 0:
-                q = row[-1] / row[e]
-                if leave is None or q < ratio or (q == ratio and basis[i] < basis[leave]):
-                    leave, ratio = i, q
+                if leave is not None:
+                    # row[-1] / row[e] against the least ratio so far; both
+                    # denominators are positive.
+                    best = tab[leave]
+                    d = row[-1] * best[e] - best[-1] * row[e]
+                    if d > 0 or (d == 0 and basis[i] > basis[leave]):
+                        continue
+                leave = i
         if leave is None:
             return e
         _pivot(tab, leave, e)
@@ -55,10 +75,11 @@ def _minimise(tab, basis):
 
 
 def _point(tab, basis, n):
-    """The basic solution of a canonical tableau: x_B = rhs, the rest 0."""
-    x = [_Z] * n
+    """The basic solution of a canonical tableau: x_B = rhs / row[B], the
+    rest 0."""
+    x = [RAT(0)] * n
     for b, row in zip(basis, tab):
-        x[b] = row[-1]
+        x[b] = RAT(row[-1], row[b])
     return x
 
 
@@ -66,7 +87,7 @@ def _feasible_basis(rows, rhs, n):
     """Phase 1: a canonical tableau with nonnegative right-hand sides for
     {x >= 0 : A x = b}, as (tab, basis), or None when the set is empty."""
     m = len(rows)
-    tab = [list(row) + [b] for row, b in zip(rows, rhs)]
+    tab = [_reduced(scaled_ints([*row, b])[0]) for row, b in zip(rows, rhs)]
     basis = [None] * m
     for c in range(n):
         r = next((i for i in range(m) if basis[i] is None and tab[i][c]), None)
@@ -83,14 +104,18 @@ def _feasible_basis(rows, rhs, n):
     # A negative row with no negative entry has no solution x >= 0.
     if any(all(v >= 0 for v in tab[i][:-1]) for i in neg):
         return None
-    # One artificial column a (index n) with -1 in the negative rows. Pivoting
-    # it in at the most negative row makes every right-hand side >= 0; then
-    # minimise a. The original columns keep full row rank, so a row that
-    # still holds a at value 0 has another nonzero entry to pivot on.
-    for row in tab:
-        row.insert(n, -_ONE if row[-1] < 0 else _Z)
-    tab.append([_Z] * n + [_ONE, _Z])
-    r = min(neg, key=lambda i: tab[i][-1])
+    # One artificial column a (index n) with -1 in the negative rows, which
+    # at each row's scale is -row[basis]. Pivoting it in at the most
+    # negative row makes every right-hand side >= 0; then minimise a. The
+    # original columns keep full row rank, so a row that still holds a at
+    # value 0 has another nonzero entry to pivot on.
+    for row, b in zip(tab, basis):
+        row.insert(n, -row[b] if row[-1] < 0 else 0)
+    tab.append([0] * n + [1, 0])
+    r = neg[0]
+    for i in neg[1:]:
+        if tab[i][-1] * tab[r][basis[r]] < tab[r][-1] * tab[i][basis[i]]:
+            r = i
     _pivot(tab, r, n)
     basis[r] = n
     _minimise(tab, basis)
@@ -131,19 +156,23 @@ def nonneg_solution_kind(rows, rhs):
     tab, basis = start
     x0 = _point(tab, basis, n)
     # Objective row for min -sum_{j not in S} x_j; the basic columns outside
-    # S sit at value 0, so their rows are added to zero the row's entries.
-    obj = [_Z if v else -_ONE for v in x0] + [_Z]
+    # S sit at value 0, so their rows, each divided by its scale p, are
+    # added to zero the row's entries. obj / s is the rational row.
+    obj = [0 if v else -1 for v in x0] + [0]
+    s = 1
     for b, row in zip(basis, tab):
-        if not x0[b]:
-            obj = [a + v for a, v in zip(obj, row)]
-    tab.append(obj)
+        if not row[-1]:
+            p = row[b]
+            obj = [a * p + s * v for a, v in zip(obj, row)]
+            s *= p
+    tab.append(_reduced(obj))
     e = _minimise(tab, basis)
     x1 = _point(tab, basis, n)
     if e is not None:
         x2 = list(x1)
-        x2[e] += _ONE
+        x2[e] += 1
         for b, row in zip(basis, tab):
-            x2[b] -= row[e]
+            x2[b] = RAT(row[-1] - row[e], row[b])
         return "multiple", (x1, x2)
     if tab[-1][-1]:
         return "multiple", (x0, x1)

@@ -337,6 +337,12 @@ def main(argv=None) -> int:
         return 2
     try:
         payload, ok = _HANDLERS[args.command](args)
+        report = jsonio.build_report(args.command, args.seed, payload, __version__)
+        text = (
+            jsonio.render_json(report)
+            if args.format == "json"
+            else jsonio.render_table(report)
+        )
     except (ParseError, CaseOutsidePaper) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -349,12 +355,6 @@ def main(argv=None) -> int:
     except SemikitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    report = jsonio.build_report(args.command, args.seed, payload, __version__)
-    text = (
-        jsonio.render_json(report)
-        if args.format == "json"
-        else jsonio.render_table(report)
-    )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -13,6 +13,10 @@ class ParseError(SemikitError):
     """Input text or file does not parse under the documented grammars."""
 
 
+class ResultTooLarge(SemikitError):
+    """A result is too large to render in a report."""
+
+
 class NegativeScalar(SemikitError):
     """A construction path would have produced a negative scalar."""
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from ._backend import bounded_int, signed_rat, to_int_pair
+from ._backend import MAX_LITERAL_DIGITS, bounded_int, signed_rat, to_int_pair
 from .derived import FiniteSemiMetric, Functional
 from .eigen import EigenPair
-from .errors import ParseError, SemikitError
+from .errors import ParseError, ResultTooLarge, SemikitError
 from .fuzzy import FuzzyNumber, FuzzyOrder, LnVector, Ordering
 from .geometry import EventuallyConstSeq, PiecewiseLinearFn, Radical
 from .scalar import NonnegScalar, OrderedDiff
@@ -26,9 +26,29 @@ from .semimodule import Coordinates, SemiBasis, SemiMatrix, SemiVector
 SCHEMA_VERSION = 1
 
 
-def _signed_literal(q) -> str:
+# Results are bounded like literals: a numerator or denominator past
+# MAX_LITERAL_DIGITS digits is refused at the report boundary, whatever the
+# interpreter's own int/str conversion limit.
+_LITERAL_BOUND = 10**MAX_LITERAL_DIGITS
+
+
+def _literal(q) -> str:
+    """numerator/denominator of a rational, or ResultTooLarge."""
     n, d = to_int_pair(q)
+    if abs(n) >= _LITERAL_BOUND or d >= _LITERAL_BOUND:
+        raise ResultTooLarge(
+            f"a result has more than {MAX_LITERAL_DIGITS} digits in its "
+            "numerator or denominator; it is not rendered"
+        )
     return f"{n}/{d}"
+
+
+def _float_view(radical) -> float:
+    """The display float of a Radical, or ResultTooLarge past float range."""
+    try:
+        return float(radical)
+    except OverflowError:
+        raise ResultTooLarge("a radical is too large for its float view") from None
 
 
 def to_jsonable(obj):
@@ -38,48 +58,48 @@ def to_jsonable(obj):
     if isinstance(obj, float):
         return obj
     if isinstance(obj, NonnegScalar):
-        return obj.literal
+        return _literal(obj._q)
     if isinstance(obj, Fraction):
-        return _signed_literal(obj)
+        return _literal(obj)
     if isinstance(obj, Radical):
         exact = obj.exact()
         return {
-            "radicand": obj.radicand.literal,
+            "radicand": _literal(obj.radicand._q),
             "index": obj.index,
-            "exact": exact.literal if exact is not None else None,
-            "float": float(obj),
+            "exact": _literal(exact._q) if exact is not None else None,
+            "float": _float_view(obj),
         }
     if isinstance(obj, OrderedDiff):
-        return {"gap": obj.gap.literal, "order": obj.order.value}
+        return {"gap": _literal(obj.gap._q), "order": obj.order.value}
     if isinstance(obj, SemiVector):
-        return [c.literal for c in obj]
+        return [_literal(c._q) for c in obj]
     if isinstance(obj, SemiMatrix):
-        return [[e.literal for e in obj.row(i)] for i in range(obj.nrows)]
+        return [[_literal(e._q) for e in obj.row(i)] for i in range(obj.nrows)]
     if isinstance(obj, SemiBasis):
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, SemiLinearMap):
         return {"matrix": to_jsonable(obj.matrix)}
     if isinstance(obj, Coordinates):
         return {
-            "support": [[i, c.literal] for i, c in obj.support],
+            "support": [[i, _literal(c._q)] for i, c in obj.support],
             "certificate": to_jsonable(obj.certificate),
         }
     if isinstance(obj, ImageDecision):
         return {"member": obj.member, "witness": to_jsonable(obj.witness)}
     if isinstance(obj, EigenPair):
         return {
-            "value": obj.value.literal,
+            "value": _literal(obj.value._q),
             "vector": to_jsonable(obj.vector),
             "certificate": to_jsonable(obj.certificate),
         }
     if isinstance(obj, EventuallyConstSeq):
-        return {"prefix": [p.literal for p in obj.prefix], "tail": obj.tail.literal}
+        return {"prefix": [_literal(p._q) for p in obj.prefix], "tail": _literal(obj.tail._q)}
     if isinstance(obj, PiecewiseLinearFn):
         return {
-            "a": obj.a.literal,
-            "b": obj.b.literal,
-            "breakpoints": [t.literal for t in obj.breakpoints],
-            "values": [v.literal for v in obj.values],
+            "a": _literal(obj.a._q),
+            "b": _literal(obj.b._q),
+            "breakpoints": [_literal(t._q) for t in obj.breakpoints],
+            "values": [_literal(v._q) for v in obj.values],
         }
     if isinstance(obj, FiniteSemiMetric):
         return to_jsonable(obj.table)
@@ -87,13 +107,13 @@ def to_jsonable(obj):
         return {"functional": obj.label, "dim": obj.dim}
     if isinstance(obj, FuzzyNumber):
         return {
-            "levels": [_signed_literal(a) for a in obj.levels],
+            "levels": [_literal(a) for a in obj.levels],
             "intervals": [
-                [_signed_literal(lo), _signed_literal(hi)] for lo, hi in obj.intervals
+                [_literal(lo), _literal(hi)] for lo, hi in obj.intervals
             ],
         }
     if isinstance(obj, LnVector):
-        return [_signed_literal(c) for c in obj]
+        return [_literal(c) for c in obj]
     if isinstance(obj, (Ordering, FuzzyOrder)):
         return obj.value if isinstance(obj.value, str) else obj.name.lower()
     if isinstance(obj, dict):

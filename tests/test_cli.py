@@ -288,6 +288,12 @@ MALFORMED = {
     "metric-literal-too-long": (
         {"x": ["7" * 4301, "1"], "y": ["1", "1"]}, ["metric", "--kind", "l2", "@x", "@y"], "digits"
     ),
+    "metric-result-too-long": (
+        {"x": ["7" * 4300, "1"], "y": ["1", "1"]}, ["metric", "--kind", "l2", "@x", "@y"], "digits"
+    ),
+    "metric-result-past-float-range": (
+        {"x": ["7" * 200, "1"], "y": ["1", "1"]}, ["metric", "--kind", "l2", "@x", "@y"], "float"
+    ),
     "opnorm-tol-not-a-number": ({"m": _M}, ["opnorm", "--kind", "l2", "@m", "--tol", "abc"]),
     "audit-spec-not-an-object": ({"s": [1, 2]}, ["audit", "--family", "semimetric", "@s"]),
     "audit-dim-zero": ({"s": {"dim": 0}}, ["audit", "--family", "seminorm", "@s"]),

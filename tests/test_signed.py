@@ -1,5 +1,6 @@
 """Differential tests: the simplex oracle against the Fourier-Motzkin
-reference on small systems (nullspace dimension k <= 5)."""
+reference on small systems (nullspace dimension k <= 5), and against the
+Fraction-tableau simplex it replaced on systems up to 12 x 36."""
 
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from semikit import _signed
 
 import fm_reference
+import simplex_reference
 
 ENTRY = st.one_of(
     st.integers(-3, 3),
@@ -67,6 +69,59 @@ def test_simplex_matches_fourier_motzkin(system):
         x1, x2 = payload
         assert x1 != x2
         assert _solves(rows, rhs, x1) and _solves(rows, rhs, x2)
+
+
+WIDE = st.builds(Fraction, st.integers(-(2**64), 2**64), st.integers(1, 2**64))
+
+
+@st.composite
+def large_systems(draw):
+    """Like systems(), up to 12 x 36, with about 64-bit numerators and
+    denominators on shapes up to 4 x 12. Redundant rows are sometimes
+    inconsistent."""
+    wide = draw(st.booleans())
+    m = draw(st.integers(1, 4 if wide else 12))
+    n = draw(st.integers(1, 12 if wide else 36))
+    entry = WIDE if wide else ENTRY
+    if draw(st.booleans()):
+        entry = entry.map(abs)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        for row in rows:
+            row[j] = Fraction(0)
+    if draw(st.booleans()):
+        x = [draw(st.sampled_from([0, 0, 0, 1, 2, Fraction(1, 3)])) for _ in range(n)]
+        rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
+    else:
+        rhs = [draw(entry) for _ in range(m)]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        c = draw(ENTRY)
+        rows.append([a + c * b for a, b in zip(rows[i], rows[j])])
+        rhs.append(rhs[i] + c * rhs[j] + draw(st.sampled_from([0, 0, 1])))
+    return rows, [Fraction(v) for v in rhs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(large_systems())
+def test_integer_tableau_matches_fraction_tableau(system):
+    rows, rhs = system
+    assert _signed.nonneg_solution_kind(rows, rhs) == simplex_reference.nonneg_solution_kind(rows, rhs)
+    assert _signed.solve_nonneg(rows, rhs) == simplex_reference.solve_nonneg(rows, rhs)
+
+
+def test_integer_tableau_scaling_traps():
+    # Phase 1 pivots the artificial column in on a row whose integer basic
+    # entry is 6, not 1: the column's entry there must be -row[basis].
+    rows = [[Fraction(1, 3), -2, Fraction(1, 3)], [Fraction(-2, 3), 2, 3]]
+    rhs = [Fraction(2, 3), 6]
+    # The phase-2 objective adds two degenerate basic rows, each at scale
+    # 23, so it must carry its running scale from one addition to the next.
+    rows2 = [[-2, -2, 3, 1, Fraction(-2, 3)], [Fraction(-2, 3), Fraction(4, 3), -4, -1, 1],
+             [-1, 0, 1, -2, 1]]
+    rhs2 = [2, -2, -4]
+    for a, b in ((rows, rhs), (rows2, rhs2)):
+        assert _signed.nonneg_solution_kind(a, b) == simplex_reference.nonneg_solution_kind(a, b)
 
 
 def test_verdict_classes():
