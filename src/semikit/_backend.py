@@ -29,7 +29,6 @@ __all__ = [
     "RAT",
     "BACKEND",
     "MAX_LITERAL_DIGITS",
-    "to_int_pair",
     "scaled_ints",
     "scaled_dot",
     "scaled_add",
@@ -48,11 +47,6 @@ _INT_RE = re.compile(r"^\d+$")
 _FRAC_RE = re.compile(r"^(\d+)/(\d+)$")
 _DEC_RE = re.compile(r"^\d*\.\d+$")
 _DIGITS_RE = re.compile(r"\d+")
-
-
-def to_int_pair(q):
-    """Return (numerator, denominator) of a rational as Python ints."""
-    return q.numerator, q.denominator
 
 
 def scaled_ints(qs):

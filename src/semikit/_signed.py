@@ -20,6 +20,9 @@ costs integer multiply-adds and one gcd per row.
 
 Phase 1 starts from the Gauss-Jordan form of [A | b], which is already a
 canonical tableau, so it pivots only when some right-hand side is negative.
+The same elimination over [A | I] decides whether A has a trivial kernel:
+it returns a kernel vector or a left inverse, which callers split into
+nonnegative parts and check.
 """
 
 import math
@@ -83,17 +86,25 @@ def _point(tab, basis, n):
     return x
 
 
-def _feasible_basis(rows, rhs, n):
-    """Phase 1: a canonical tableau with nonnegative right-hand sides for
-    {x >= 0 : A x = b}, as (tab, basis), or None when the set is empty."""
-    m = len(rows)
-    tab = [_reduced(scaled_ints([*row, b])[0]) for row, b in zip(rows, rhs)]
-    basis = [None] * m
+def _eliminate(tab, n):
+    """Gauss-Jordan on the first n columns of `tab`, in place: each column
+    is pivoted on the first unused row that is nonzero there. Returns the
+    basis, each row's pivot column or None for a row left without one
+    (zero in all n columns)."""
+    basis = [None] * len(tab)
     for c in range(n):
-        r = next((i for i in range(m) if basis[i] is None and tab[i][c]), None)
+        r = next((i for i, b in enumerate(basis) if b is None and tab[i][c]), None)
         if r is not None:
             _pivot(tab, r, c)
             basis[r] = c
+    return basis
+
+
+def _feasible_basis(rows, rhs, n):
+    """Phase 1: a canonical tableau with nonnegative right-hand sides for
+    {x >= 0 : A x = b}, as (tab, basis), or None when the set is empty."""
+    tab = [_reduced(scaled_ints([*row, b])[0]) for row, b in zip(rows, rhs)]
+    basis = _eliminate(tab, n)
     if any(row[-1] for row, b in zip(tab, basis) if b is None):
         return None
     tab = [row for row, b in zip(tab, basis) if b is not None]
@@ -177,3 +188,33 @@ def nonneg_solution_kind(rows, rhs):
     if tab[-1][-1]:
         return "multiple", (x0, x1)
     return "unique", x0
+
+
+def kernel_or_left_inverse(rows):
+    """Decide whether A (m x n) has a trivial kernel, by one Gauss-Jordan
+    pass over [A | I].
+
+    Returns ("kernel", d) with A d = 0 and d != 0, or ("left_inverse", L)
+    with L A = I, L given as n rows of m entries. Every tableau row is
+    w [A | I] for some multiplier row w, so its last m entries are w and
+    its first n are w A. The pivot row of column c, divided by its pivot,
+    is therefore row c of a left inverse; when some column has no pivot,
+    setting it to 1 and solving the pivot rows gives d.
+    """
+    m, n = len(rows), len(rows[0])
+    tab = []
+    for i, row in enumerate(rows):
+        ints, den = scaled_ints(row)
+        tab.append(_reduced([*ints, *(den if k == i else 0 for k in range(m))]))
+    basis = _eliminate(tab, n)
+    pivots = {b: row for b, row in zip(basis, tab) if b is not None}
+    free = next((c for c in range(n) if c not in pivots), None)
+    if free is None:
+        return "left_inverse", [
+            [RAT(v, pivots[c][c]) for v in pivots[c][n:]] for c in range(n)
+        ]
+    d = [RAT(0)] * n
+    d[free] = RAT(1)
+    for b, row in pivots.items():
+        d[b] = RAT(-row[free], row[b])
+    return "kernel", d

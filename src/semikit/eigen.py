@@ -16,17 +16,15 @@ from dataclasses import dataclass
 
 from .errors import (
     CaseOutsidePaper,
-    CoordsFailure,
     DimensionMismatch,
     NoConvergence,
-    NotRepresentable,
     NotSquare,
     ReducibleMatrix,
     ZeroVector,
 )
 from .scalar import NonnegScalar, ZERO
 from .semilinear import SemiLinearMap, coordinate_iso
-from .semimodule import SemiBasis, SemiMatrix, SemiVector, coords, random_scalar
+from .semimodule import SemiBasis, SemiMatrix, SemiVector, random_scalar
 
 __all__ = [
     "EigenPair",
@@ -262,24 +260,15 @@ def diagonal_representation_check(t: SemiLinearMap, basis: SemiBasis) -> dict:
 
     Both directions of the equivalence are evaluated: the matrix is
     diagonal iff every basis element is an eigenvector, and the report
-    asserts their agreement. Raises CoordsFailure when some T(b_i) has no
-    nonnegative coordinates in the basis (the case the theory leaves
-    open).
+    asserts their agreement. The basis must be a semi-basis of the full
+    space (NotABasis otherwise); then the matrix is F T B with F, B the
+    coordinate isomorphism, and it is always nonnegative, so the case
+    where some T(b_i) has no nonnegative coordinates cannot arise.
     """
     _require_square(t)
-    coordinate_iso(basis)  # NotABasis if the family fails validation
+    forward, back = coordinate_iso(basis)
+    rep = forward.matrix @ t.matrix @ back.matrix
     m = len(basis)
-    columns = []
-    for i in range(m):
-        image = t.apply(basis[i])
-        try:
-            c = coords(image, basis)
-        except NotRepresentable as exc:
-            raise CoordsFailure(
-                f"T(b_{i + 1}) has no nonnegative coordinates in the basis"
-            ) from exc
-        columns.append(c.dense(m))
-    rep = SemiMatrix([[columns[i][j] for i in range(m)] for j in range(m)])
     diagonal = all(
         rep.entry(j, i).is_zero for i in range(m) for j in range(m) if i != j
     )

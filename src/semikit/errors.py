@@ -61,10 +61,6 @@ class ReducibleMatrix(SemikitError):
     """The primitivity probe failed; the power method is not certified."""
 
 
-class CoordsFailure(SemikitError):
-    """An image of a basis element has no nonnegative coordinates in the basis."""
-
-
 class UnsupportedTail(SemikitError):
     """Sequence-space operation requires a zero tail (finite support)."""
 

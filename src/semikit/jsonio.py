@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from ._backend import MAX_LITERAL_DIGITS, bounded_int, signed_rat, to_int_pair
+from ._backend import MAX_LITERAL_DIGITS, bounded_int, signed_rat
 from .derived import FiniteSemiMetric, Functional
 from .eigen import EigenPair
 from .errors import ParseError, ResultTooLarge, SemikitError
@@ -34,21 +34,13 @@ _LITERAL_BOUND = 10**MAX_LITERAL_DIGITS
 
 def _literal(q) -> str:
     """numerator/denominator of a rational, or ResultTooLarge."""
-    n, d = to_int_pair(q)
+    n, d = q.numerator, q.denominator
     if abs(n) >= _LITERAL_BOUND or d >= _LITERAL_BOUND:
         raise ResultTooLarge(
             f"a result has more than {MAX_LITERAL_DIGITS} digits in its "
             "numerator or denominator; it is not rendered"
         )
     return f"{n}/{d}"
-
-
-def _float_view(radical) -> float:
-    """The display float of a Radical, or ResultTooLarge past float range."""
-    try:
-        return float(radical)
-    except OverflowError:
-        raise ResultTooLarge("a radical is too large for its float view") from None
 
 
 def to_jsonable(obj):
@@ -67,7 +59,7 @@ def to_jsonable(obj):
             "radicand": _literal(obj.radicand._q),
             "index": obj.index,
             "exact": _literal(exact._q) if exact is not None else None,
-            "float": _float_view(obj),
+            "float": float(obj),
         }
     if isinstance(obj, OrderedDiff):
         return {"gap": _literal(obj.gap._q), "order": obj.order.value}

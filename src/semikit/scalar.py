@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._backend import RAT, parse_literal, to_int_pair
-from .errors import NegativeScalar, ZeroInverse
+from ._backend import RAT, parse_literal
+from .errors import NegativeScalar, ResultTooLarge, ZeroInverse
 
 __all__ = [
     "NonnegScalar",
@@ -86,11 +86,11 @@ class NonnegScalar:
 
     @property
     def numerator(self) -> int:
-        return int(self._q.numerator)
+        return self._q.numerator
 
     @property
     def denominator(self) -> int:
-        return int(self._q.denominator)
+        return self._q.denominator
 
     @property
     def is_zero(self) -> bool:
@@ -99,8 +99,7 @@ class NonnegScalar:
     @property
     def literal(self) -> str:
         """Canonical serialized form, always numerator/denominator."""
-        n, d = to_int_pair(self._q)
-        return f"{n}/{d}"
+        return f"{self._q.numerator}/{self._q.denominator}"
 
     def inv(self) -> "NonnegScalar":
         """Multiplicative inverse; raises ZeroInverse on zero."""
@@ -177,8 +176,11 @@ class NonnegScalar:
         return NotImplemented
 
     def __float__(self):
-        n, d = to_int_pair(self._q)
-        return n / d
+        """The nearest float, or ResultTooLarge past float range."""
+        try:
+            return self._q.numerator / self._q.denominator
+        except OverflowError:
+            raise ResultTooLarge("a value is too large for its float view") from None
 
     def __bool__(self):
         return self._q != 0

@@ -2,29 +2,29 @@
 inverses, the left-regular embedding into operators, and Lie bracket
 rigidity.
 
-Invertibility is decided by the exact feasibility oracle (solve u X = I
-with X >= 0, column by column) and verified two-sided; in practice the
-invertible elements are exactly the monomial matrices, which the hom
-generators exploit. The Lie audit turns the simplicity argument into a
-finite check: expanding [e_i + e_j, e_i + e_j] = 0 over nonnegative
-structure constants forces every constant to zero, so any nonzero
-constant yields a concrete alternating-law witness.
+Invertibility is decided by the monomial theorem: a nonnegative matrix
+has a nonnegative inverse exactly when it is monomial (Berman and
+Plemmons), and the inverse is then P^T D^-1. Every inverse is verified
+on both sides, and the hom generators use monomial matrices. The Lie
+audit turns the simplicity argument into a finite check: expanding
+[e_i + e_j, e_i + e_j] = 0 over nonnegative structure constants forces
+every constant to zero, so any nonzero constant yields a concrete
+alternating-law witness.
 """
 
 from __future__ import annotations
 
 import random
 
-from . import _signed
 from .errors import (
     DimensionMismatch,
     NotInvertible,
     NotSquare,
     OrderMismatch,
 )
-from .scalar import NonnegScalar, ONE, ZERO
+from .scalar import NonnegScalar, ZERO
 from .semilinear import SemiLinearMap
-from .semimodule import SemiMatrix, SemiVector, random_scalar
+from .semimodule import SemiMatrix, SemiVector, _monomial_inverse, random_scalar
 
 __all__ = [
     "is_monomial",
@@ -49,16 +49,7 @@ def _require_square(m: SemiMatrix):
 
 def is_monomial(m: SemiMatrix) -> bool:
     """Exactly one positive entry in every row and every column."""
-    if not m.is_square:
-        return False
-    n = m.nrows
-    for i in range(n):
-        if sum(1 for j in range(n) if not m.entry(i, j).is_zero) != 1:
-            return False
-    for j in range(n):
-        if sum(1 for i in range(n) if not m.entry(i, j).is_zero) != 1:
-            return False
-    return True
+    return _monomial_inverse(m)[0] is not None
 
 
 def monomial(perm, diag) -> SemiMatrix:
@@ -76,44 +67,32 @@ def monomial(perm, diag) -> SemiMatrix:
     return SemiMatrix(rows)
 
 
-def _solve_right_inverse(u: SemiMatrix):
-    """X >= 0 with u X = I via the exact feasibility oracle, or None."""
-    n = u.nrows
-    rows = [[e._q for e in u.row(i)] for i in range(n)]
-    cols = []
-    for i in range(n):
-        rhs = [ONE._q if r == i else ZERO._q for r in range(n)]
-        sol = _signed.solve_nonneg(rows, rhs)
-        if sol is None:
-            return None
-        cols.append([NonnegScalar(q) for q in sol])
-    return SemiMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
-
-
 def invert(u: SemiMatrix) -> SemiMatrix:
-    """Two-sided nonnegative inverse, or NotInvertible.
+    """Two-sided nonnegative inverse, or NotInvertible naming a row or
+    column without exactly one positive entry.
 
-    The oracle solves u X = I columnwise with X >= 0; the result is then
-    verified on both sides in nonnegative arithmetic.
+    The inverse comes from the monomial theorem and is then verified on
+    both sides in nonnegative arithmetic.
     """
     _require_square(u)
-    x = _solve_right_inverse(u)
+    x, why = _monomial_inverse(u)
+    if x is None:
+        raise NotInvertible(f"no nonnegative inverse: {why}")
     eye = SemiMatrix.identity(u.nrows)
-    if x is None or u @ x != eye or x @ u != eye:
-        raise NotInvertible("no nonnegative two-sided inverse")
+    if u @ x != eye or x @ u != eye:
+        raise AssertionError("internal: inverse failed two-sided verification")
     return x
 
 
 def inverse_laws_audit(u: SemiMatrix, v: SemiMatrix) -> dict:
-    """Uniqueness of the inverse (independent re-solve through the
-    transpose), double inverse, and the anti-homomorphism law, exactly."""
+    """Uniqueness of the inverse (recomputed through the transpose: Y u = I
+    iff u^T Y^T = I), double inverse, and the anti-homomorphism law,
+    exactly."""
     if u.nrows != v.nrows or not u.is_square or not v.is_square:
         raise OrderMismatch("audit needs two square elements of equal order")
     ui = invert(u)
     vi = invert(v)
-    # Re-solve along the other side: Y u = I iff u^T Y^T = I.
-    yt = _solve_right_inverse(u.transpose())
-    resolved_same = yt is not None and yt.transpose() == ui
+    resolved_same = invert(u.transpose()).transpose() == ui
     double = invert(ui) == u
     anti = invert(u @ v) == vi @ ui
     return {

@@ -4,20 +4,20 @@ A SemiLinearMap is a nonnegative matrix with explicit domain/codomain
 dimensions; additivity and homogeneity then hold by construction and are
 property-tested rather than assumed. Kernel extraction exploits
 nonnegativity (entries cannot cancel, so only zero columns contribute);
-image membership is decided exactly through the sealed signed oracle and
-every witness is re-verified in nonnegative arithmetic before it leaves
-this module.
+image membership and injectivity are decided exactly through the sealed
+signed oracle, and every witness is re-verified in nonnegative arithmetic
+before it leaves this module. Coordinate isomorphisms come from the
+monomial theorem: the full space's only semi-bases are monomial families.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from . import _signed
-from .errors import DimensionMismatch, NonUnique, NotABasis, NotRepresentable
-from .scalar import NonnegScalar
-from .semimodule import SemiBasis, SemiMatrix, SemiVector, coords, random_vector
+from .errors import DimensionMismatch, NotABasis
+from .scalar import ZERO, NonnegScalar
+from .semimodule import SemiBasis, SemiMatrix, SemiVector, _monomial_inverse
 
 __all__ = [
     "SemiLinearMap",
@@ -145,113 +145,73 @@ def image_member(t: SemiLinearMap, w: SemiVector) -> ImageDecision:
     return ImageDecision(member=True, witness=v)
 
 
-def _proportional_columns(t: SemiLinearMap):
-    """First pair (i, j, s) with column j = s * column i, s > 0, or None."""
-    n = t.domain_dim
-    cols = [t.matrix.column(j) for j in range(n)]
-    for i in range(n):
-        if all(e.is_zero for e in cols[i]):
-            continue
-        for j in range(i + 1, n):
-            if all(e.is_zero for e in cols[j]):
-                continue
-            s = None
-            ok = True
-            for a, b in zip(cols[i], cols[j]):
-                if a.is_zero != b.is_zero:
-                    ok = False
-                    break
-                if not a.is_zero:
-                    ratio = b / a
-                    if s is None:
-                        s = ratio
-                    elif ratio != s:
-                        ok = False
-                        break
-            if ok and s is not None:
-                return i, j, s
-    return None
+def _split(qs):
+    """The nonnegative parts (q+, q-) of signed rationals, as scalars."""
+    return (
+        [NonnegScalar(q) if q > 0 else ZERO for q in qs],
+        [NonnegScalar(-q) if q < 0 else ZERO for q in qs],
+    )
 
 
-def injectivity_probe(t: SemiLinearMap, trials: int = 200, seed: int = 0) -> dict:
-    """Search for a collision T(u) = T(v) with u != v.
+def injectivity_probe(t: SemiLinearMap) -> dict:
+    """Exact decision of injectivity on the nonnegative cone.
 
-    Dimension 1 gets an exact verdict (kernel triviality is equivalent to
-    injectivity there). Above dimension 1 the result is a probe: zero or
-    proportional columns yield explicit counterexamples, and the remaining
-    budget is spent on random pairs. "no_collision_found" is not a proof.
+    T is injective there exactly when its matrix A has a trivial real
+    kernel: u != v with A u = A v gives d = u - v, and a kernel vector d
+    gives the collision (d+, d-). One exact elimination returns d or a
+    left inverse L. The collision is re-verified as T d+ == T d- with
+    d+ != d-; the injective verdict carries L split as (L+, L-) and is
+    re-verified as L+ A == L- A + I, both in nonnegative arithmetic.
     """
-    n = t.domain_dim
-    if n == 1:
-        if len(kernel(t)) == 0:
-            return {"verdict": "injective", "exact": True, "witness": None, "trials": 0}
-        u = SemiVector([NonnegScalar(1)])
-        v = SemiVector([NonnegScalar(2)])
+    a = t.matrix
+    rows = [[e._q for e in a.row(i)] for i in range(a.nrows)]
+    kind, payload = _signed.kernel_or_left_inverse(rows)
+    if kind == "kernel":
+        u, v = map(SemiVector, _split(payload))
+        if u == v or t.apply(u) != t.apply(v):
+            raise AssertionError("internal: collision failed re-verification")
         return {
             "verdict": "collision",
             "exact": True,
             "witness": (u, v),
-            "trials": 0,
+            "left_inverse": None,
         }
-
-    for j in range(n):
-        if all(e.is_zero for e in t.matrix.column(j)):
-            u = SemiVector.unit(n, j)
-            return {
-                "verdict": "collision",
-                "exact": True,
-                "witness": (u, u.scale(NonnegScalar(2))),
-                "trials": 0,
-            }
-    prop = _proportional_columns(t)
-    if prop is not None:
-        i, j, s = prop
-        u = SemiVector.unit(n, i).scale(s)
-        v = SemiVector.unit(n, j)
-        return {"verdict": "collision", "exact": True, "witness": (u, v), "trials": 0}
-
-    rng = random.Random(seed)
-    for k in range(trials):
-        u = random_vector(rng, n)
-        v = random_vector(rng, n)
-        if u != v and t.apply(u) == t.apply(v):
-            return {
-                "verdict": "collision",
-                "exact": True,
-                "witness": (u, v),
-                "trials": k + 1,
-            }
-    return {"verdict": "no_collision_found", "exact": False, "witness": None, "trials": trials}
+    plus, minus = (SemiMatrix(m) for m in zip(*map(_split, payload)))
+    if plus @ a != minus @ a + SemiMatrix.identity(a.ncols):
+        raise AssertionError("internal: left inverse failed re-verification")
+    return {
+        "verdict": "injective",
+        "exact": True,
+        "witness": None,
+        "left_inverse": (plus, minus),
+    }
 
 
 def coordinate_iso(basis: SemiBasis):
     """Forward/backward maps realizing the coordinate isomorphism for a
     semi-basis of the full coordinate space.
 
-    The backward map sends coordinate tuples to their combination; the
-    forward map is validated by solving coords for every standard vector
-    and checking both round trips exactly. Raises NotABasis when any probe
-    fails.
+    The backward map sends coordinate tuples to their combination. A
+    semi-basis of the full space is exactly a square monomial family: a
+    standard vector spans an extreme ray of the orthant, so it has unique
+    coordinates only when exactly one element is a multiple of it, and an
+    element beyond those n breaks the round trip. The forward map is
+    therefore the inverse of the backward matrix, and both round trips
+    are checked exactly. Raises NotABasis naming a row or column of the
+    backward matrix without exactly one positive entry.
     """
     n = basis.ambient_dim
     m = len(basis)
-    back = SemiLinearMap(
-        SemiMatrix([[basis[j][r] for j in range(m)] for r in range(n)])
-    )
-    forward_cols = []
-    for i in range(n):
-        try:
-            c = coords(SemiVector.unit(n, i), basis)
-        except (NotRepresentable, NonUnique) as exc:
-            raise NotABasis(
-                f"standard vector e_{i + 1} has no unique nonnegative coordinates"
-            ) from exc
-        forward_cols.append(c.dense(m))
-    forward = SemiLinearMap(
-        SemiMatrix([[forward_cols[i][j] for i in range(n)] for j in range(m)])
-    )
+    b = SemiMatrix([[basis[j][r] for j in range(m)] for r in range(n)])
+    inverse, why = _monomial_inverse(b)
+    if inverse is None:
+        raise NotABasis(
+            "not a semi-basis of the full space: in the matrix whose "
+            f"columns are the elements, {why}"
+        )
+    forward, back = SemiLinearMap(inverse), SemiLinearMap(b)
     if forward.compose(back) != SemiLinearMap.identity(m) or back.compose(
         forward
     ) != SemiLinearMap.identity(n):
-        raise NotABasis("round trips are not the identity; not a semi-basis")
+        raise AssertionError("internal: coordinate round trips failed verification")
     return forward, back

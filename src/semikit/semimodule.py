@@ -295,6 +295,34 @@ class SemiMatrix:
         return f"SemiMatrix({self.nrows}x{self.ncols})"
 
 
+def _monomial_inverse(m: SemiMatrix):
+    """The monomial theorem as one scan: a nonnegative matrix has a
+    nonnegative inverse exactly when every row and every column holds
+    exactly one positive entry (Berman and Plemmons, Nonnegative Matrices
+    in the Mathematical Sciences).
+
+    Returns (inverse, None) with the inverse P^T D^-1 of m = D P, or
+    (None, why) where why names the first row, else the first column
+    (1-based), without exactly one positive entry. A matrix that is not
+    square always has such a row or column.
+    """
+    rows = m.rows()
+    cols = []
+    for i, row in enumerate(rows, 1):
+        hits = [j for j, e in enumerate(row) if not e.is_zero]
+        if len(hits) != 1:
+            return None, f"row {i} has {len(hits)} positive entries"
+        cols.append(hits[0])
+    for j in range(m.ncols):
+        count = cols.count(j)
+        if count != 1:
+            return None, f"column {j + 1} has {count} positive entries"
+    inverse = [[ZERO] * len(cols) for _ in cols]
+    for i, j in enumerate(cols):
+        inverse[j][i] = rows[i][j].inv()
+    return SemiMatrix._wrap(tuple(map(tuple, inverse))), None
+
+
 def _strip(form):
     """A polynomial's scaled form without trailing zero coefficients; the
     zero polynomial's is ([], 1)."""

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from semikit._backend import BACKEND, MAX_LITERAL_DIGITS, RAT, signed_rat, to_int_pair
+from semikit._backend import BACKEND, MAX_LITERAL_DIGITS, RAT, signed_rat
 from semikit.errors import ParseError
 from semikit.jsonio import load_payload
 from semikit.scalar import parse_scalar
@@ -16,7 +16,6 @@ def test_backend_selected():
 
 def test_rational_semantics():
     assert RAT(6, 8) == RAT(3, 4)
-    assert to_int_pair(RAT(6, 8)) == (3, 4)
 
 
 def test_signed_literal_parsing():

@@ -295,6 +295,12 @@ MALFORMED = {
         {"x": ["7" * 200, "1"], "y": ["1", "1"]}, ["metric", "--kind", "l2", "@x", "@y"], "float"
     ),
     "opnorm-tol-not-a-number": ({"m": _M}, ["opnorm", "--kind", "l2", "@m", "--tol", "abc"]),
+    "opnorm-entry-past-float-range": (
+        {"m": [["1" + "0" * 400, "1"], ["1", "1"]]}, ["opnorm", "--kind", "l2", "@m"], "float"
+    ),
+    "perron-entry-past-float-range": (
+        {"m": [["1" + "0" * 400, "1"], ["1", "1"]]}, ["eigen", "--matrix", "@m", "--perron"], "float"
+    ),
     "audit-spec-not-an-object": ({"s": [1, 2]}, ["audit", "--family", "semimetric", "@s"]),
     "audit-dim-zero": ({"s": {"dim": 0}}, ["audit", "--family", "seminorm", "@s"]),
     "audit-dims-short": ({"s": {"dims": [1, 2]}}, ["audit", "--family", "category", "@s"]),

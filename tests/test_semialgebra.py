@@ -61,8 +61,8 @@ class TestInverses:
             invert(SemiMatrix([[1, 1], [1, 1]]))
 
     def test_found_inverses_are_monomial(self, rng):
-        # Engineering fact used by the hom generators: random searches
-        # only ever invert monomial matrices.
+        # The monomial theorem: a nonnegative matrix has a nonnegative
+        # inverse exactly when it is monomial (Berman and Plemmons).
         hits = 0
         for _ in range(200):
             m = random_square(rng, 3, max_num=3)

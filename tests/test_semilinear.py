@@ -158,9 +158,10 @@ class TestInjectivityProbe:
         assert u != v and t.apply(u) == t.apply(v)
 
     def test_identity_no_collision(self):
-        report = injectivity_probe(SemiLinearMap.identity(3), trials=50)
-        assert report["verdict"] == "no_collision_found"
-        assert not report["exact"]
+        report = injectivity_probe(SemiLinearMap.identity(3))
+        assert report["verdict"] == "injective" and report["exact"]
+        plus, minus = report["left_inverse"]
+        assert plus == SemiMatrix.identity(3) and minus.is_zero
 
 
 class TestHomSpace:
