@@ -11,6 +11,7 @@ general primitive matrices with an explicit float certificate.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ from .errors import (
     NoConvergence,
     NotSquare,
     ReducibleMatrix,
+    ResultTooLarge,
     ZeroVector,
 )
 from .scalar import NonnegScalar, ZERO
@@ -203,7 +205,8 @@ def perron_power_iteration(
     coordinate). Floats carry the iteration; the returned pair is the
     exact rational image of the final iterate, re-normalized to unit
     1-norm. The certificate stores the residual, the iteration count, and
-    the Collatz-Wielandt bracket enclosing the true eigenvalue.
+    the Collatz-Wielandt bracket enclosing the true eigenvalue. A row sum
+    past float range raises ResultTooLarge.
     """
     if not matrix.is_square:
         raise NotSquare("power iteration needs a square matrix")
@@ -214,6 +217,10 @@ def perron_power_iteration(
         raise ReducibleMatrix("primitivity probe failed within the Wielandt bound")
     n = matrix.nrows
     rows = [[float(matrix.entry(i, j)) for j in range(n)] for i in range(n)]
+    # Every iterate has unit 1-norm, so finite row sums keep each A v, and
+    # lambda v, in float range.
+    if not all(math.isfinite(sum(r)) for r in rows):
+        raise ResultTooLarge("a row sum is too large for its float view")
     v = [1.0 / n] * n
 
     def matvec(x):

@@ -7,15 +7,21 @@ per-level interval arithmetic. The ordered layer works over the weak
 structure on [0, 1] whose addition saturates at 1; saturation is exactly
 why cancellation and distributivity fail there, and axiom_audit_ln
 documents which laws survive instead of asserting them.
+
+LnVector keeps the scaled form of its entries (integers over one common
+denominator, as SemiVector does), so the truncated sum, scaling, ==,
+hash and both orders run on Python ints, and axiom_audit_ln draws its
+samples straight into that form.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import random
 from functools import cmp_to_key
 
-from ._backend import RAT, signed_rat
+from ._backend import RAT, _lowest, scaled_ints, scaled_scale, signed_rat, unscaled
 from .errors import (
     DimensionMismatch,
     EmptyInput,
@@ -195,9 +201,15 @@ def fz_leq(x: FuzzyNumber, y: FuzzyNumber) -> FuzzyOrder:
 
 
 class LnVector:
-    """Nondecreasing vector with entries in [0, 1]."""
+    """Nondecreasing vector with entries in [0, 1].
 
-    __slots__ = ("coords",)
+    It keeps the scaled form of its entries (integers over the lcm of their
+    denominators, see ``_backend.scaled_ints``), which is canonical, so ==,
+    hash and the order tests run on Python ints. The Fraction ``coords``
+    tuple is built on first read and then kept.
+    """
+
+    __slots__ = ("_form", "_coords")
 
     def __init__(self, coords):
         items = tuple(_unit(c) for c in coords)
@@ -205,14 +217,17 @@ class LnVector:
             raise DimensionMismatch("need at least one coordinate")
         if any(items[i] > items[i + 1] for i in range(len(items) - 1)):
             raise ValueError("coordinates must be nondecreasing")
-        self.coords = items
+        self._coords = items
+        self._form = scaled_ints(items)
 
     @classmethod
-    def _wrap(cls, items):
-        """Wrap a tuple already known to be a nondecreasing vector in
-        [0, 1] (internal: results of the closed operations)."""
+    def _from_form(cls, form):
+        """Wrap a scaled form in lowest terms already known to be a
+        nondecreasing vector in [0, 1] (internal: results of the closed
+        operations and the audit's samples)."""
         obj = object.__new__(cls)
-        obj.coords = items
+        obj._form = form
+        obj._coords = None
         return obj
 
     @classmethod
@@ -220,8 +235,14 @@ class LnVector:
         return cls([value] * n)
 
     @property
+    def coords(self):
+        if self._coords is None:
+            self._coords = tuple(unscaled(self._form))
+        return self._coords
+
+    @property
     def dim(self):
-        return len(self.coords)
+        return len(self._form[0])
 
     def __iter__(self):
         return iter(self.coords)
@@ -232,10 +253,11 @@ class LnVector:
     def __eq__(self, other):
         if not isinstance(other, LnVector):
             return NotImplemented
-        return self.coords == other.coords
+        return self._form == other._form
 
     def __hash__(self):
-        return hash(self.coords)
+        ints, den = self._form
+        return hash((tuple(ints), den))
 
     def __repr__(self):
         return f"LnVector({[str(c) for c in self.coords]})"
@@ -247,21 +269,26 @@ def _check_dims(u: LnVector, v: LnVector):
 
 
 def ln_oplus(u: LnVector, v: LnVector) -> LnVector:
-    """Componentwise truncated sum min(1, x + y); sortedness survives
+    """Componentwise truncated sum min(1, x + y), as min(den, x' + y') on
+    the integers over the common denominator den. Sortedness survives
     because truncation is monotone, so the result needs no re-validation."""
     _check_dims(u, v)
-    return LnVector._wrap(tuple([min(_ONE, a + b) for a, b in zip(u.coords, v.coords)]))
+    (xa, da), (xb, db) = u._form, v._form
+    den = math.lcm(da, db)
+    fa, fb = den // da, den // db
+    ints = [min(den, x * fa + y * fb) for x, y in zip(xa, xb)]
+    return LnVector._from_form(_lowest(ints, den))
 
 
 def ln_scale(r, v: LnVector) -> LnVector:
     """r * v for r in [0, 1]: again nondecreasing and in [0, 1]."""
-    r = _unit(r)
-    return LnVector._wrap(tuple([r * a for a in v.coords]))
+    return LnVector._from_form(scaled_scale(_unit(r), v._form))
 
 
 def product_order_leq(u: LnVector, v: LnVector) -> bool:
     _check_dims(u, v)
-    return all(a <= b for a, b in zip(u, v))
+    (xa, da), (xb, db) = u._form, v._form
+    return all(x * db <= y * da for x, y in zip(xa, xb))
 
 
 def _check_perm(perm, n: int):
@@ -275,8 +302,9 @@ def admissible_leq(u: LnVector, v: LnVector, perm) -> Ordering:
     _check_dims(u, v)
     perm = tuple(perm)
     _check_perm(perm, u.dim)
+    (xa, da), (xb, db) = u._form, v._form
     for i in perm:
-        a, b = u[i - 1], v[i - 1]
+        a, b = xa[i - 1] * db, xb[i - 1] * da
         if a < b:
             return Ordering.LESS
         if a > b:
@@ -322,7 +350,7 @@ def axiom_audit_ln(n: int = 2, seed: int = 0, samples: int = 2000) -> dict:
     def sample_vec():
         if grid is not None:
             return grid[rng.randrange(len(grid))]
-        return LnVector(sorted(RAT(rng.randint(0, 10), 10) for _ in range(n)))
+        return LnVector._from_form(_lowest(sorted(rng.randint(0, 10) for _ in range(n)), 10))
 
     laws = {}
 
@@ -347,13 +375,19 @@ def axiom_audit_ln(n: int = 2, seed: int = 0, samples: int = 2000) -> dict:
             break
     record("zero_identity", witness is None, mode, len(carrier), witness)
 
+    # One comparison of u + v with v + u checks both ordered pairs (u, v)
+    # and (v, u), and a pair with itself holds trivially, so each pair of
+    # distinct indices is summed both ways once. The first failing ordered
+    # pair in row-major order is then some (i, j) with i < j.
+    size = len(carrier)
     witness = None
-    checked = 0
-    for u in carrier:
-        for v in carrier:
-            checked += 1
+    checked = size * size
+    for i, u in enumerate(carrier):
+        for j in range(i + 1, size):
+            v = carrier[j]
             if ln_oplus(u, v) != ln_oplus(v, u):
                 witness = {"u": u, "v": v}
+                checked = i * size + j + 1
                 break
         if witness:
             break

@@ -23,6 +23,7 @@ from ._backend import RAT, scaled_dot
 from .errors import (
     DimensionMismatch,
     IntervalMismatch,
+    ResultTooLarge,
     UnsupportedTail,
 )
 from .scalar import NonnegScalar, ONE, ZERO, _gap, exact_sqrt
@@ -218,7 +219,7 @@ def operator_norm(t: SemiLinearMap, kind: NormKind, tol: float = 1e-9, max_iter:
     vector; LInf is the largest row sum, attained at the all-ones vector.
     The Euclidean norm is bracketed by a Collatz-Wielandt power iteration
     on A^T A: the reported [lower, upper] interval certifiably contains
-    the true value.
+    the true value. A^T A past float range raises ResultTooLarge.
     """
     mat = t.matrix
     if kind is NormKind.L1:
@@ -251,6 +252,10 @@ def operator_norm(t: SemiLinearMap, kind: NormKind, tol: float = 1e-9, max_iter:
         [sum(a[k][i] * a[k][j] for k in range(mat.nrows)) for j in range(n)]
         for i in range(n)
     ]
+    # Row sums of A^T A bound every iterate, so finite row sums keep the
+    # whole power iteration in float range.
+    if not all(math.isfinite(sum(row)) for row in s):
+        raise ResultTooLarge("A^T A is too large for its float view")
     live = [i for i in range(n) if any(s[i][j] != 0.0 for j in range(n))]
     if not live:
         return {
@@ -268,6 +273,8 @@ def operator_norm(t: SemiLinearMap, kind: NormKind, tol: float = 1e-9, max_iter:
         lo, hi = max(lo, c_lo), max(hi, c_hi)
         iterations = max(iterations, it)
         converged = converged and c_hi - c_lo <= tol * max(c_hi, 1.0)
+    if not math.isfinite(hi):
+        raise ResultTooLarge("the L2 bracket is too large for its float view")
     lower, upper = math.sqrt(lo), math.sqrt(hi)
     return {
         "kind": "l2",
@@ -344,7 +351,8 @@ def seq_metric(x: EventuallyConstSeq, y: EventuallyConstSeq, space="linf"):
     p-summable space (gap-power sum, finite support required).
 
     space is "linf" or ("lp", p) with p >= 1; integer p keeps the result
-    exact (a Radical for p >= 2), non-integer p falls back to floats.
+    exact (a Radical for p >= 2), non-integer p falls back to floats and
+    raises ResultTooLarge past float range.
     """
     span = max(len(x.prefix), len(y.prefix))
     gaps = [_gap(x.value_at(i), y.value_at(i)) for i in range(span)]
@@ -364,7 +372,13 @@ def seq_metric(x: EventuallyConstSeq, y: EventuallyConstSeq, space="linf"):
     pf = float(NonnegScalar(p))
     if pf < 1.0:
         raise ValueError("p must be >= 1")
-    return sum(float(g) ** pf for g in gaps) ** (1.0 / pf)
+    try:
+        total = sum(float(g) ** pf for g in gaps)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ResultTooLarge("a gap's p-th power is too large for its float view")
+    return total ** (1.0 / pf)
 
 
 class PiecewiseLinearFn:

@@ -129,7 +129,12 @@ def build_report(command: str, seed, payload: dict, version: str) -> dict:
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text of a report; a non-finite float, which JSON
+    cannot represent, is refused with ResultTooLarge."""
+    try:
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ResultTooLarge(f"a result is not a finite number: {exc}") from None
 
 
 def _table_lines(value, prefix, out):

@@ -13,16 +13,19 @@ entries as integers over the lcm of their denominators, see
 missing one is derived on first use and then kept. Constructors store
 entries; + and scale run on the scaled form and store only that, so a
 chain of them runs in Python ints with one gcd per result. The form is
-canonical, so == and hash compare it directly.
+canonical, so == and hash compare it directly. axiom_audit draws each
+sample straight into the form, with the same random calls as
+random_scalar and no Fraction per entry.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 from . import _signed
-from ._backend import RAT, scaled_add, scaled_dot, scaled_ints, scaled_scale, unscaled
+from ._backend import RAT, _lowest, scaled_add, scaled_dot, scaled_ints, scaled_scale, unscaled
 from .errors import (
     DimensionMismatch,
     NonUnique,
@@ -508,6 +511,18 @@ def random_scalar(rng: random.Random, max_num=60, max_den=12, allow_zero=True) -
     return NonnegScalar._wrap(RAT(num, den))
 
 
+def _random_form(rng: random.Random, k: int):
+    """The scaled form of k entries drawn exactly as k random_scalar(rng)
+    calls draw them (numerator, then denominator, entry by entry), with no
+    Fraction per entry."""
+    nums, dens = [], []
+    for _ in range(k):
+        nums.append(rng.randint(0, 60))
+        dens.append(rng.randint(1, 12))
+    den = math.lcm(*dens)
+    return _lowest([x * (den // d) for x, d in zip(nums, dens)], den)
+
+
 def random_vector(rng: random.Random, n: int, **kw) -> SemiVector:
     return SemiVector._wrap(tuple(random_scalar(rng, **kw) for _ in range(n)))
 
@@ -672,20 +687,23 @@ def _zero_like(x):
 
 def check_svs_laws(u, v, w, alpha: NonnegScalar, beta: NonnegScalar):
     """Evaluate the vector-space law set on one triple; returns the names
-    of violated laws (empty tuple when all hold)."""
+    of violated laws (empty tuple when all hold). Each subexpression that
+    two laws share (u + v, alpha v, beta v) is evaluated once."""
     zero = _zero_like(u)
     bad = []
-    if (u + v) + w != u + (v + w):
+    uv = u + v
+    va, vb = v.scale(alpha), v.scale(beta)
+    if uv + w != u + (v + w):
         bad.append("add_associative")
-    if u + v != v + u:
+    if uv != v + u:
         bad.append("add_commutative")
     if v + zero != v:
         bad.append("zero_identity")
-    if (u + v).scale(alpha) != u.scale(alpha) + v.scale(alpha):
+    if uv.scale(alpha) != u.scale(alpha) + va:
         bad.append("scalar_distributes_over_vector_sum")
-    if v.scale(alpha + beta) != v.scale(alpha) + v.scale(beta):
+    if v.scale(alpha + beta) != va + vb:
         bad.append("scalar_sum_distributes")
-    if v.scale(alpha * beta) != v.scale(beta).scale(alpha):
+    if v.scale(alpha * beta) != vb.scale(alpha):
         bad.append("scalar_mul_associative")
     if v.scale(ONE) != v:
         bad.append("one_identity")
@@ -710,15 +728,15 @@ def axiom_audit(space: str = "rn", dim: int = 3, samples: int = 1000, seed: int 
 
     if space == "rn":
         def sample():
-            return random_vector(rng, dim)
+            return SemiVector._from_form(_random_form(rng, dim))
     elif space == "matrices":
         def sample():
-            return SemiMatrix(
-                [[random_scalar(rng) for _ in range(dim + 1)] for _ in range(dim)]
+            return SemiMatrix._from_forms(
+                tuple(_random_form(rng, dim + 1) for _ in range(dim))
             )
     elif space == "polynomials":
         def sample():
-            return SemiPolynomial([random_scalar(rng) for _ in range(dim + 1)])
+            return SemiPolynomial._from_form(_random_form(rng, dim + 1))
     else:
         raise ValueError(f"unknown space {space!r}")
 

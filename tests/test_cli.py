@@ -298,8 +298,14 @@ MALFORMED = {
     "opnorm-entry-past-float-range": (
         {"m": [["1" + "0" * 400, "1"], ["1", "1"]]}, ["opnorm", "--kind", "l2", "@m"], "float"
     ),
+    "opnorm-gram-past-float-range": (
+        {"m": [["1" + "0" * 200, "1"], ["1", "1"]]}, ["opnorm", "--kind", "l2", "@m"], "float"
+    ),
     "perron-entry-past-float-range": (
         {"m": [["1" + "0" * 400, "1"], ["1", "1"]]}, ["eigen", "--matrix", "@m", "--perron"], "float"
+    ),
+    "perron-row-sum-past-float-range": (
+        {"m": [["1" + "0" * 308] * 2] * 2}, ["eigen", "--matrix", "@m", "--perron"], "float"
     ),
     "audit-spec-not-an-object": ({"s": [1, 2]}, ["audit", "--family", "semimetric", "@s"]),
     "audit-dim-zero": ({"s": {"dim": 0}}, ["audit", "--family", "seminorm", "@s"]),

@@ -25,7 +25,7 @@ from semikit import (
     seq_metric,
     sqrt_leq_sum_of_sqrts,
 )
-from semikit.errors import DimensionMismatch, IntervalMismatch, UnsupportedTail
+from semikit.errors import DimensionMismatch, IntervalMismatch, ResultTooLarge, UnsupportedTail
 
 from conftest import F, NS, rand_scalar, rand_vector
 
@@ -311,6 +311,15 @@ class TestSequenceSpace:
         x = EventuallyConstSeq([1], 0)
         y = EventuallyConstSeq([0], 0)
         assert seq_metric(x, y, ("lp", "3/2")) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("gaps", [[10**300], [10**205] * 6])
+    def test_lp_noninteger_p_past_float_range(self, gaps):
+        # A single power past float range raises OverflowError in float
+        # arithmetic; a sum of finite powers past it turns into inf.
+        x = EventuallyConstSeq(gaps, 0)
+        y = EventuallyConstSeq([0] * len(gaps), 0)
+        with pytest.raises(ResultTooLarge):
+            seq_metric(x, y, ("lp", "3/2"))
 
     def test_sup_matches_signed_oracle(self, rng):
         for _ in range(100):

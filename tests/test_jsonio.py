@@ -2,6 +2,7 @@
 contract (scalars always as numerator/denominator)."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from semikit import (
     SemiVector,
 )
 from semikit import jsonio
-from semikit.errors import ParseError
+from semikit.errors import ParseError, ResultTooLarge
 
 from conftest import NS
 
@@ -114,6 +115,12 @@ class TestReports:
         assert text == jsonio.render_json(json.loads(text)) or json.loads(text) == report
         keys = list(json.loads(text))
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_float_refused(self, value):
+        report = jsonio.build_report("x", 1, {"upper": value}, "0.1.0")
+        with pytest.raises(ResultTooLarge):
+            jsonio.render_json(report)
 
     def test_table_rendering_flat(self):
         report = jsonio.build_report("x", 1, {"value": NS(3)}, "0.1.0")
