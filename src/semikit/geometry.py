@@ -26,7 +26,7 @@ from .errors import (
     ResultTooLarge,
     UnsupportedTail,
 )
-from .scalar import NonnegScalar, ONE, ZERO, _gap, exact_sqrt
+from .scalar import NonnegScalar, ONE, ZERO, _gap
 from .semilinear import SemiLinearMap
 from .semimodule import SemiVector, random_vector
 
@@ -91,8 +91,6 @@ class Radical:
         """NonnegScalar value when the radicand is a perfect power, else None."""
         if self.index == 1:
             return self.radicand
-        if self.index == 2:
-            return exact_sqrt(self.radicand)
         rn = _int_root(self.radicand.numerator, self.index)
         rd = _int_root(self.radicand.denominator, self.index)
         if rn is None or rd is None:

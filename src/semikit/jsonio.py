@@ -202,14 +202,7 @@ def parse_basis(data) -> SemiBasis:
 
 
 def parse_map(data) -> SemiLinearMap:
-    matrix = parse_matrix(data)
-    domain_basis = codomain_basis = None
-    if isinstance(data, dict):
-        if data.get("domain_basis"):
-            domain_basis = parse_basis(data["domain_basis"])
-        if data.get("codomain_basis"):
-            codomain_basis = parse_basis(data["codomain_basis"])
-    return SemiLinearMap(matrix, domain_basis, codomain_basis)
+    return SemiLinearMap(parse_matrix(data))
 
 
 def parse_sequence(data) -> EventuallyConstSeq:

@@ -13,7 +13,6 @@ Scalars are immutable and hashable; all operations return new values.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -258,12 +257,3 @@ def _gap(a: NonnegScalar, b: NonnegScalar) -> NonnegScalar:
     if qa >= qb:
         return NonnegScalar._wrap(qa - qb)
     return NonnegScalar._wrap(qb - qa)
-
-
-def exact_sqrt(s: NonnegScalar):
-    """Exact square root if s is a perfect rational square, else None."""
-    n, d = s.numerator, s.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return NonnegScalar(rn, rd)
-    return None

@@ -34,14 +34,12 @@ __all__ = [
 class SemiLinearMap:
     """Matrix-backed map between coordinate semimodules."""
 
-    __slots__ = ("matrix", "domain_basis", "codomain_basis")
+    __slots__ = ("matrix",)
 
-    def __init__(self, matrix: SemiMatrix, domain_basis=None, codomain_basis=None):
+    def __init__(self, matrix: SemiMatrix):
         if not isinstance(matrix, SemiMatrix):
             matrix = SemiMatrix(matrix)
         self.matrix = matrix
-        self.domain_basis = domain_basis
-        self.codomain_basis = codomain_basis
 
     @classmethod
     def identity(cls, n: int) -> "SemiLinearMap":

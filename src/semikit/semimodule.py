@@ -527,6 +527,15 @@ def random_vector(rng: random.Random, n: int, **kw) -> SemiVector:
     return SemiVector._wrap(tuple(random_scalar(rng, **kw) for _ in range(n)))
 
 
+def _rebuilds(coeffs, generators, target: SemiVector) -> bool:
+    """Whether sum_j coeffs[j] * generators[j] is target, in nonnegative
+    arithmetic."""
+    rebuilt = SemiVector.zero(target.dim)
+    for c, g in zip(coeffs, generators):
+        rebuilt = rebuilt + g.scale(c)
+    return rebuilt == target
+
+
 def _cone_member(generators, w: SemiVector):
     """Exact membership of w in the cone generated by `generators`.
     Returns a coefficient list (NonnegScalar) or None."""
@@ -540,10 +549,7 @@ def _cone_member(generators, w: SemiVector):
     if sol is None:
         return None
     coeffs = [NonnegScalar(q) for q in sol]
-    rebuilt = SemiVector.zero(w.dim)
-    for c, g in zip(coeffs, generators):
-        rebuilt = rebuilt + g.scale(c)
-    if rebuilt != w:
+    if not _rebuilds(coeffs, generators, w):
         raise AssertionError("internal: witness failed nonnegative re-verification")
     return coeffs
 
@@ -644,18 +650,15 @@ def coords(v: SemiVector, basis: SemiBasis) -> Coordinates:
     if kind == "infeasible":
         raise NotRepresentable("no nonnegative coordinate family exists")
     if kind == "multiple":
-        x1, x2 = payload
+        witnesses = tuple(tuple(NonnegScalar(q) for q in x) for x in payload)
+        w1, w2 = witnesses
+        if w1 == w2 or not (_rebuilds(w1, basis, v) and _rebuilds(w2, basis, v)):
+            raise AssertionError("internal: NonUnique witnesses failed nonnegative re-verification")
         err = NonUnique("two distinct nonnegative coordinate families exist")
-        err.witnesses = (
-            tuple(NonnegScalar(q) for q in x1),
-            tuple(NonnegScalar(q) for q in x2),
-        )
+        err.witnesses = witnesses
         raise err
     coeffs = [NonnegScalar(q) for q in payload]
-    rebuilt = SemiVector.zero(v.dim)
-    for c, b in zip(coeffs, basis):
-        rebuilt = rebuilt + b.scale(c)
-    if rebuilt != v:
+    if not _rebuilds(coeffs, basis, v):
         raise AssertionError("internal: coordinates failed nonnegative re-verification")
     support = tuple((j + 1, c) for j, c in enumerate(coeffs) if not c.is_zero)
     cert = {"unique": True, "reverified": True, "basis_size": len(basis)}

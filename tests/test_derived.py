@@ -35,6 +35,7 @@ from semikit.derived import (
 )
 from semikit.errors import (
     CarrierMismatch,
+    DimensionMismatch,
     DomainTooSmall,
     NonComposableChain,
 )
@@ -130,6 +131,38 @@ class TestSpaceClosure:
 
         skew = BilinearForm(2, lambda u, v: u[0] * v[1], "skew")
         assert not validate_inner(skew, samples=64, seed=1)["ok"]
+
+
+class TestShapes:
+    """Arguments and maps of the wrong shape are refused, not truncated."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: weighted_l1([1, 1, 1])((1, 2)),
+            lambda: weighted_max_abs([1, 1])((1, 2, 3)),
+            lambda: abs_linear([1, -1])((1,)),
+            lambda: max_linear([[1, 2, 3]])((5,)),
+            lambda: gram_form([[1, 2, 3]])((1,), (1,)),
+            lambda: gram_form([[1, 2]])((1, 2), (1,)),
+            lambda: (weighted_l1([1, 1]) + abs_linear([1, 1]))((1, 2, 3)),
+            lambda: LinearMapQ([[1, 2], [3, 4]]).apply((1,)),
+        ],
+        ids=["l1", "max_abs", "abs_linear", "max_linear", "gram", "gram_second", "sum", "apply"],
+    )
+    def test_wrong_argument_length(self, call):
+        with pytest.raises(DimensionMismatch):
+            call()
+
+    def test_pullback_checks_its_domain(self):
+        pulled, _ = pullback_seminorm(weighted_l1([1, 1]), LinearMapQ([[1, 0, 2], [0, 1, 0]]))
+        with pytest.raises(DimensionMismatch):
+            pulled((1, 2))
+
+    @pytest.mark.parametrize("rows", [[[1, 2], [3]], [], [[]], [[], []]])
+    def test_empty_or_ragged_map(self, rows):
+        with pytest.raises(DimensionMismatch):
+            LinearMapQ(rows)
 
 
 class TestPreserver:

@@ -13,7 +13,6 @@ from semikit import (
     LnVector,
     NonnegScalar,
     PiecewiseLinearFn,
-    SemiBasis,
     SemiMatrix,
     SemiVector,
 )
@@ -69,8 +68,7 @@ class TestParsing:
             "domain_basis": [["2", "0"], ["0", "2"]],
         }
         t = jsonio.parse_map(data)
-        assert t.domain_basis == SemiBasis([[2, 0], [0, 2]])
-        assert t.codomain_basis is None
+        assert t.matrix == SemiMatrix.identity(2)
 
     def test_csv_matrix(self):
         m = jsonio.parse_matrix_csv("1,2\n3/2,0.5\n")

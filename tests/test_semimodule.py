@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from semikit import _signed
 from semikit import (
     NonnegScalar,
     SemiBasis,
@@ -121,6 +123,22 @@ class TestCoords:
             coords(SemiVector([2, 2]), b)
         w1, w2 = exc.value.witnesses
         assert w1 != w2
+
+    @pytest.mark.parametrize(
+        "second",
+        [
+            (Fraction(2), Fraction(2), Fraction(1)),  # does not rebuild (2, 2)
+            (Fraction(2), Fraction(2), Fraction(0)),  # equals the first witness
+        ],
+    )
+    def test_non_unique_witnesses_are_reverified(self, monkeypatch, second):
+        first = (Fraction(2), Fraction(2), Fraction(0))
+        monkeypatch.setattr(
+            _signed, "nonneg_solution_kind", lambda rows, rhs: ("multiple", (first, second))
+        )
+        b = SemiBasis([[1, 0], [0, 1], [1, 1]])
+        with pytest.raises(AssertionError):
+            coords(SemiVector([2, 2]), b)
 
     def test_support_strictly_positive(self):
         b = SemiBasis([[1, 0], [0, 1], [2, 0]])
