@@ -33,15 +33,11 @@ from .semimodule import (
     is_simple_space,
     is_symmetrizable,
     subspace_check,
-    vec_add,
-    vec_scale,
 )
 from .semilinear import (
     ImageDecision,
     SemiLinearMap,
     coordinate_iso,
-    hom_add,
-    hom_scale,
     image_member,
     injectivity_probe,
     kernel,

@@ -175,22 +175,30 @@ class Functional:
         return f"Functional({self.label}, dim={self.dim})"
 
 
+def _nonempty_scaled(qs):
+    """scaled_ints(qs) for the coefficients of a functional, which needs at
+    least one."""
+    if not qs:
+        raise DimensionMismatch("a functional needs at least one coefficient")
+    return scaled_ints(qs)
+
+
 def weighted_l1(weights) -> Functional:
-    w, w_den = scaled_ints([NonnegScalar(x)._q for x in weights])
+    w, w_den = _nonempty_scaled([NonnegScalar(x)._q for x in weights])
     return Functional(
         len(w), lambda x: RAT(sum(map(mul, w, map(abs, x[0]))), w_den * x[1]), "w_l1"
     )
 
 
 def weighted_max_abs(weights) -> Functional:
-    w, w_den = scaled_ints([NonnegScalar(x)._q for x in weights])
+    w, w_den = _nonempty_scaled([NonnegScalar(x)._q for x in weights])
     return Functional(
         len(w), lambda x: RAT(max(map(mul, w, map(abs, x[0]))), w_den * x[1]), "w_maxabs"
     )
 
 
 def abs_linear(coeffs) -> Functional:
-    c = scaled_ints([_q(x) for x in coeffs])
+    c = _nonempty_scaled([_q(x) for x in coeffs])
     return Functional(len(c[0]), lambda x: abs(scaled_dot(c, x)), "abs_lin")
 
 

@@ -183,7 +183,13 @@ def parse_vector(data) -> SemiVector:
 
 
 def parse_matrix(data) -> SemiMatrix:
-    if isinstance(data, dict) and "matrix" in data:
+    if isinstance(data, dict):
+        if data.keys() != {"matrix"}:
+            extra = ", ".join(sorted(data.keys() - {"matrix"}))
+            raise ParseError(
+                'a matrix object needs exactly the key "matrix"'
+                + (f"; unknown keys: {extra}" if extra else "")
+            )
         data = data["matrix"]
     return _wrap_parse(SemiMatrix, "matrix", data)
 

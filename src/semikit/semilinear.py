@@ -25,8 +25,6 @@ __all__ = [
     "kernel",
     "image_member",
     "injectivity_probe",
-    "hom_add",
-    "hom_scale",
     "coordinate_iso",
 ]
 
@@ -95,14 +93,6 @@ class SemiLinearMap:
 
     def __repr__(self):
         return f"SemiLinearMap({self.codomain_dim}x{self.domain_dim})"
-
-
-def hom_add(t1: SemiLinearMap, t2: SemiLinearMap) -> SemiLinearMap:
-    return t1 + t2
-
-
-def hom_scale(lam, t: SemiLinearMap) -> SemiLinearMap:
-    return t.scale(lam)
 
 
 def kernel(t: SemiLinearMap) -> SemiBasis:

@@ -39,8 +39,6 @@ __all__ = [
     "SemiPolynomial",
     "SemiBasis",
     "Coordinates",
-    "vec_add",
-    "vec_scale",
     "is_symmetrizable",
     "is_simple_space",
     "subspace_check",
@@ -480,14 +478,6 @@ class SemiBasis:
 
     def __repr__(self):
         return f"SemiBasis({len(self._elements)} elements in dim {self._ambient})"
-
-
-def vec_add(u: SemiVector, v: SemiVector) -> SemiVector:
-    return u + v
-
-
-def vec_scale(lam, v: SemiVector) -> SemiVector:
-    return v.scale(lam)
 
 
 def is_symmetrizable(v: SemiVector) -> bool:

@@ -282,6 +282,15 @@ _ALTS = [["1/3", "1/2"], ["1/4", "3/4"]]
 MALFORMED = {
     "eigen-tol-not-a-number": ({"m": _M}, ["eigen", "--matrix", "@m", "--perron", "--tol", "abc"]),
     "eigen-tol-nan": ({"m": _M}, ["eigen", "--matrix", "@m", "--perron", "--tol", "nan"]),
+    "eigen-matrix-extra-key": (
+        {"m": {"matrix": _M, "domain_basis": [["1", "0"]]}},
+        ["eigen", "--matrix", "@m", "--exact-2x2"],
+        "domain_basis",
+    ),
+    "eigen-matrix-key-misspelt": (
+        {"m": {"matrx": _M}}, ["eigen", "--matrix", "@m", "--perron"], "matrx"
+    ),
+    "opnorm-matrix-object-empty": ({"m": {}}, ["opnorm", "--kind", "l1", "@m"], '"matrix"'),
     "metric-length-mismatch": (
         {"x": ["1"], "y": ["1", "2"]}, ["metric", "--kind", "l1", "@x", "@y"]
     ),

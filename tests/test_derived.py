@@ -154,6 +154,13 @@ class TestShapes:
         with pytest.raises(DimensionMismatch):
             call()
 
+    @pytest.mark.parametrize(
+        "make", [weighted_l1, weighted_max_abs, abs_linear, max_linear, gram_form]
+    )
+    def test_empty_coefficients_are_refused(self, make):
+        with pytest.raises(DimensionMismatch):
+            make([])
+
     def test_pullback_checks_its_domain(self):
         pulled, _ = pullback_seminorm(weighted_l1([1, 1]), LinearMapQ([[1, 0, 2], [0, 1, 0]]))
         with pytest.raises(DimensionMismatch):

@@ -67,8 +67,8 @@ class TestParsing:
             "matrix": [["1", "0"], ["0", "1"]],
             "domain_basis": [["2", "0"], ["0", "2"]],
         }
-        t = jsonio.parse_map(data)
-        assert t.matrix == SemiMatrix.identity(2)
+        with pytest.raises(ParseError, match="domain_basis"):
+            jsonio.parse_map(data)
 
     def test_csv_matrix(self):
         m = jsonio.parse_matrix_csv("1,2\n3/2,0.5\n")

@@ -2,6 +2,8 @@
 reference on small systems (nullspace dimension k <= 5), and against the
 Fraction-tableau simplex it replaced on systems up to 12 x 36."""
 
+import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 from hypothesis import assume, given, settings
@@ -112,16 +114,77 @@ def test_integer_tableau_matches_fraction_tableau(system):
 
 def test_integer_tableau_scaling_traps():
     # Phase 1 pivots the artificial column in on a row whose integer basic
-    # entry is 6, not 1: the column's entry there must be -row[basis].
+    # entry is the shared divisor 6, not 1: the column's entry there must
+    # be -d.
     rows = [[Fraction(1, 3), -2, Fraction(1, 3)], [Fraction(-2, 3), 2, 3]]
     rhs = [Fraction(2, 3), 6]
-    # The phase-2 objective adds two degenerate basic rows, each at scale
-    # 23, so it must carry its running scale from one addition to the next.
+    # The phase-2 objective adds two degenerate basic rows over the shared
+    # divisor 23, so its entries off S must be -d, not -1.
     rows2 = [[-2, -2, 3, 1, Fraction(-2, 3)], [Fraction(-2, 3), Fraction(4, 3), -4, -1, 1],
              [-1, 0, 1, -2, 1]]
     rhs2 = [2, -2, -4]
     for a, b in ((rows, rhs), (rows2, rhs2)):
         assert _signed.nonneg_solution_kind(a, b) == simplex_reference.nonneg_solution_kind(a, b)
+
+
+@contextmanager
+def _checked_pivots():
+    """Rebind _signed._pivot so that every pivot is checked against the
+    Fraction Gauss-Jordan update of the rational tableau (rows over d)."""
+    pivot = _signed._pivot
+
+    def checked(tab, r, c, d):
+        old = [[Fraction(v, d) for v in row] for row in tab]
+        new_d = pivot(tab, r, c, d)
+        prow = [v / old[r][c] for v in old[r]]
+        expected = [
+            prow if i == r else [a - row[c] * b for a, b in zip(row, prow)]
+            for i, row in enumerate(old)
+        ]
+        assert new_d > 0
+        assert [[Fraction(v, new_d) for v in row] for row in tab] == expected
+        return new_d
+
+    _signed._pivot = checked
+    try:
+        yield
+    finally:
+        _signed._pivot = pivot
+
+
+def _run_checked(rows, rhs):
+    with _checked_pivots():
+        _signed.nonneg_solution_kind(rows, rhs)
+        if rows and rows[0]:
+            _signed.kernel_or_left_inverse(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems())
+def test_pivot_division_is_exact(system):
+    _run_checked(*system)
+
+
+@settings(max_examples=40, deadline=None)
+@given(large_systems())
+def test_pivot_division_is_exact_large(system):
+    _run_checked(*system)
+
+
+def test_pivot_division_is_exact_wide():
+    # About 64-bit numerators and denominators up to 6 x 18: the largest
+    # divisors and entries the tier-1 time allows.
+    rng = random.Random(8024)
+
+    def wide():
+        return Fraction(rng.randint(-(2**64), 2**64), rng.randint(1, 2**64))
+
+    for m, n in ((2, 6), (3, 9), (4, 12), (5, 15), (6, 18)):
+        rows = [[wide() for _ in range(n)] for _ in range(m)]
+        x = [Fraction(rng.choice([0, 0, 1, 2])) for _ in range(n)]
+        rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
+        _run_checked(rows, rhs)
+        _run_checked(rows, [wide() for _ in range(m)])
 
 
 def test_verdict_classes():
