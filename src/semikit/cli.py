@@ -2,13 +2,15 @@
 
 One command per invocation; reports are canonical JSON (the table format
 is a rendering of the same report, never a second source of truth).
-Exit codes: 0 success/pass, 1 completed audit with failures or a
-non-converging computation (witness in the report), 2 input error.
+Exit codes: 0 success/pass, 1 completed audit with failures (witness in
+the report) or a refused or non-converging Perron computation (an
+``error`` report, written like any other), 2 input error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import random
 import sys
@@ -65,7 +67,11 @@ def _add_common(parser):
     parser.add_argument("--format", choices=("json", "table"), default="json")
 
 
+@functools.cache
 def _build_parser():
+    """The argparse tree, built on first use and shared by every main()
+    call in the process: parse_args fills a fresh Namespace each time, and
+    no action holds a mutable default."""
     top = argparse.ArgumentParser(prog="semikit")
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command")
@@ -336,7 +342,10 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        payload, ok = _HANDLERS[args.command](args)
+        try:
+            payload, ok = _HANDLERS[args.command](args)
+        except (ReducibleMatrix, NoConvergence) as exc:
+            payload, ok = {"error": str(exc)}, False
         report = jsonio.build_report(args.command, args.seed, payload, __version__)
         text = (
             jsonio.render_json(report)
@@ -346,12 +355,6 @@ def main(argv=None) -> int:
     except (ParseError, CaseOutsidePaper) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (ReducibleMatrix, NoConvergence) as exc:
-        report = jsonio.build_report(
-            args.command, args.seed, {"error": str(exc)}, __version__
-        )
-        sys.stdout.write(jsonio.render_json(report))
-        return 1
     except SemikitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

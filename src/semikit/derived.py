@@ -307,20 +307,25 @@ class FiniteSemiMetric:
 
 
 def semimetric_violations(rows):
-    """All semi-metric axiom violations of a square scalar table."""
+    """All semi-metric axiom violations of a square scalar table.
+
+    The checks run on the table scaled once to integers over one common
+    denominator; a violation reports the table's own scalars."""
     n = len(rows)
+    flat, _ = scaled_ints([e._q for row in rows for e in row])
+    d = [flat[i * n:(i + 1) * n] for i in range(n)]
     out = []
     for i in range(n):
-        if not rows[i][i].is_zero:
+        if d[i][i]:
             out.append({"axiom": "zero_diagonal", "i": i})
     for i in range(n):
         for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
+            if d[i][j] != d[j][i]:
                 out.append({"axiom": "symmetry", "i": i, "j": j})
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if rows[i][k] > rows[i][j] + rows[j][k]:
+                if d[i][k] > d[i][j] + d[j][k]:
                     out.append(
                         {
                             "axiom": "triangle",

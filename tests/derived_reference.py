@@ -7,6 +7,10 @@ returns a Fraction tuple, and every pullback stage hands that tuple to
 the next. The scaled-form code must give the same values and the same
 reports. The axiom validators did not change; the audits here call the
 library's validators on these tuple-based objects.
+
+``semimetric_violations`` is the check of a finite semi-metric table as it
+was before it moved to integers over one denominator: every comparison
+and every triangle sum is a ``NonnegScalar`` operation.
 """
 
 import random
@@ -29,6 +33,31 @@ def _scaled_rows(rows):
     flat, den = scaled_ints([q for row in rows for q in row])
     it = iter(flat)
     return [list(islice(it, len(row))) for row in rows], den
+
+
+def semimetric_violations(rows):
+    n = len(rows)
+    out = []
+    for i in range(n):
+        if not rows[i][i].is_zero:
+            out.append({"axiom": "zero_diagonal", "i": i})
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                out.append({"axiom": "symmetry", "i": i, "j": j})
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if rows[i][k] > rows[i][j] + rows[j][k]:
+                    out.append(
+                        {
+                            "axiom": "triangle",
+                            "triple": (i, j, k),
+                            "lhs": rows[i][k],
+                            "rhs": rows[i][j] + rows[j][k],
+                        }
+                    )
+    return out
 
 
 def random_signed_vector(rng, dim, max_num=40, max_den=8):

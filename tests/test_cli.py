@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from semikit.cli import main
+import semikit
+from semikit.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -49,6 +51,21 @@ class TestEigenCommand:
         code, out = run_cli(capsys, "eigen", "--matrix", path, "--perron")
         assert code == 1
         assert "error" in json.loads(out)
+
+    def test_perron_error_report_honours_out(self, tmp_path, capsys):
+        path = write(tmp_path, "m.json", [["0", "1"], ["1", "0"]])
+        target = tmp_path / "r.json"
+        code, out = run_cli(capsys, "eigen", "--matrix", path, "--perron", "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert "error" in json.loads(target.read_text())
+
+    def test_perron_error_report_honours_format(self, tmp_path, capsys):
+        path = write(tmp_path, "m.json", [["0", "1"], ["1", "0"]])
+        code, out = run_cli(capsys, "eigen", "--matrix", path, "--perron", "--format", "table")
+        assert code == 1
+        assert "{" not in out
+        assert any(line.startswith("error ") for line in out.splitlines())
 
     def test_outside_case_table_exit_2(self, tmp_path, capsys):
         path = write(tmp_path, "m.json", [["1", "2"], ["3", "4"]])
@@ -272,6 +289,47 @@ class TestReportDiscipline:
     def test_missing_file_exit_2(self, capsys):
         code, _ = run_cli(capsys, "eigen", "--matrix", "/nonexistent.json", "--exact-2x2")
         assert code == 2
+
+
+class TestSharedParser:
+    """main() builds its parser once per process; reusing it must leave
+    every later command's output as a fresh process would print it."""
+
+    def test_reused_parser_matches_fresh_processes(self, tmp_path, capsys, monkeypatch):
+        # argparse wraps usage text to the terminal width: pin it on both sides.
+        monkeypatch.setenv("COLUMNS", "80")
+        src = os.path.dirname(os.path.dirname(semikit.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        diag = write(tmp_path, "d.json", [["2", "0"], ["0", "5"]])
+        sym = write(tmp_path, "s.json", [["2", "1"], ["1", "2"]])
+        first = ["audit", "--family", "category", "--samples", "20"]
+        sequence = [
+            first,
+            ["audit", "--family", "category"],
+            ["audit", "--family", "frobnicate"],
+            ["--version"],
+            ["eigen", "--matrix", diag, "--exact-2x2"],
+            ["eigen", "--matrix", sym, "--perron"],
+            first,
+        ]
+        results = []
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "semikit.cli", *argv], capture_output=True, env=env
+            )
+            got = (code, captured.out.encode(), captured.err.encode())
+            assert got == (fresh.returncode, fresh.stdout, fresh.stderr)
+            results.append(got)
+        assert [code for code, _, _ in results] == [0, 0, 2, 0, 0, 0, 0]
+        assert json.loads(results[1][1])["report"]["samples_per_norm"] == 64
+        assert results[0] == results[-1]
+        assert _build_parser() is _build_parser()
 
 
 # Malformed input, one or more rows per subcommand: (files, argv) or

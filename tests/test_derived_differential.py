@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from semikit import derived
 from semikit.derived import random_semimetric
+from semikit.scalar import NonnegScalar
 
 import derived_reference as ref
 
@@ -63,6 +64,30 @@ def random_spec(rng, dim):
 
 def random_rows(rng, out_dim, in_dim):
     return [ref.random_signed_vector(rng, in_dim) for _ in range(out_dim)]
+
+
+@st.composite
+def scalar_tables(draw):
+    """Square tables, n = 1..6: distances between points on a line (tight
+    triangles through every middle point) or arbitrary entries, then up to
+    three entries redrawn, which can break the zero diagonal, symmetry or
+    the triangle inequality."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        xs = draw(st.lists(SIGNED, min_size=n, max_size=n))
+        table = [[abs(a - b) for b in xs] for a in xs]
+    else:
+        table = [draw(st.lists(NONNEG, min_size=n, max_size=n)) for _ in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        table[i][j] = draw(NONNEG)
+    return [[NonnegScalar(e) for e in row] for row in table]
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalar_tables())
+def test_semimetric_violations_match(rows):
+    assert derived.semimetric_violations(rows) == ref.semimetric_violations(rows)
 
 
 @settings(max_examples=150, deadline=None)
