@@ -17,6 +17,7 @@ import sys
 
 from . import __version__
 from . import jsonio
+from ._backend import bounded_int
 from .derived import (
     BUNDLED_METRICS,
     CandidatePreserver,
@@ -59,10 +60,17 @@ from .semimodule import SemiMatrix, axiom_audit
 
 _KINDS = {"l2": NormKind.EUCLIDEAN, "l1": NormKind.L1, "linf": NormKind.LINF}
 
+# Count caps. A count past its cap exits 2, like a literal past 4300 digits,
+# so no count makes a command run without bound: with every count of one
+# command at its cap, the command still finishes in seconds.
+MAX_SAMPLES = 2000  # --samples of audit and axioms
+MAX_DIM = 12  # --dim of audit and axioms; an audit spec's dim and dims entries
+MAX_HOM_SAMPLES = 1000  # a check-hom spec's samples
+MAX_HOM_ORDER = 8  # a check-hom spec's order, and the length of its perm
+
 
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0, help="audit seed")
-    parser.add_argument("--tol", default="1e-9", help="tolerance (decimal string)")
     parser.add_argument("--out", default=None, help="write the report to a file")
     parser.add_argument("--format", choices=("json", "table"), default="json")
 
@@ -81,6 +89,7 @@ def _build_parser():
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exact-2x2", action="store_true")
     mode.add_argument("--perron", action="store_true")
+    p.add_argument("--tol", default="1e-9", help="Perron tolerance (decimal string)")
     _add_common(p)
 
     p = sub.add_parser("metric", help="ordered-difference distance between vectors")
@@ -92,6 +101,7 @@ def _build_parser():
     p = sub.add_parser("opnorm", help="operator norm of a matrix map")
     p.add_argument("--kind", choices=tuple(_KINDS), required=True)
     p.add_argument("matrix")
+    p.add_argument("--tol", default="1e-9", help="L2 bracket tolerance (decimal string)")
     _add_common(p)
 
     p = sub.add_parser("audit", help="derived function-space audits")
@@ -134,12 +144,14 @@ def _spec(path):
     return payload
 
 
-def _count(value, what):
-    """A positive integer from a flag or a spec field."""
-    n = jsonio._wrap_parse(int, what, value)
-    if n < 1:
-        raise ParseError(f"{what} must be a positive integer, got {value!r}")
-    return n
+def _count(value, what, cap):
+    """An integer from 1 to cap: a JSON integer, or the digit string of a
+    flag. Bools, floats and other strings are refused."""
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        value = bounded_int(value)
+    if type(value) is not int or not 1 <= value <= cap:
+        raise ParseError(f"{what} must be an integer from 1 to {cap}, got {value!r}")
+    return value
 
 
 def _tol(text):
@@ -188,15 +200,17 @@ def _cmd_audit(args):
     rng = random.Random(args.seed)
     family = args.family
     spec = _spec(args.spec) if args.spec else {}
-    dim = _count(spec.get("dim", args.dim), "dim")
-    samples = _count(args.samples, "--samples")
+    dim = _count(spec.get("dim", args.dim), "dim", MAX_DIM)
+    samples = _count(args.samples, "--samples", MAX_SAMPLES)
     lam = jsonio.parse_scalar_text(spec.get("lambda", "2"))
 
     if family == "preserver":
         if args.fn is None and "fn" not in spec:
             raise ParseError("preserver audit needs --fn or a spec with 'fn'")
         fn_payload = spec["fn"] if "fn" in spec else jsonio.load_payload(args.fn)
-        candidate = CandidatePreserver(jsonio.parse_plfn(fn_payload))
+        candidate = jsonio._wrap_parse(
+            CandidatePreserver, "preserver candidate", jsonio.parse_plfn(fn_payload)
+        )
         metrics = None
         if "metrics" in spec:
             metrics = jsonio._wrap_parse(
@@ -206,16 +220,12 @@ def _cmd_audit(args):
         return {"family": family, "report": report}, report["verdict"] == "not_falsified"
 
     if family == "category":
-        dims = spec.get("dims") or [
-            rng.randint(1, 4) for _ in range(4)
-        ]
+        dims = spec.get("dims") or [rng.randint(1, 4) for _ in range(4)]
         if not isinstance(dims, list) or len(dims) != 4:
             raise ParseError("dims must list four dimensions")
-        u_dim, v_dim, w_dim, x_dim = dims = [_count(d, "dims entry") for d in dims]
+        u_dim, v_dim, w_dim, x_dim = dims = [_count(d, "dims entry", MAX_DIM) for d in dims]
         def rand_map(out_d, in_d):
-            return LinearMapQ(
-                [random_signed_vector(rng, in_d) for _ in range(out_d)]
-            )
+            return LinearMapQ([random_signed_vector(rng, in_d) for _ in range(out_d)])
         t1 = rand_map(u_dim, v_dim)
         t2 = rand_map(v_dim, w_dim)
         t3 = rand_map(w_dim, x_dim)
@@ -245,13 +255,14 @@ def _cmd_audit(args):
 def _parse_hom(spec):
     kind = spec.get("kind")
     if kind == "monomial_conjugation":
-        perm = [int(i) - 1 for i in spec["perm"]]
+        perm = [_count(i, "perm entry", MAX_HOM_ORDER) - 1 for i in spec["perm"]]
         mono = monomial(perm, [NonnegScalar(d) for d in spec["diag"]])
         return AlgebraHom.monomial_conjugation(mono)
     if kind == "identity":
-        return AlgebraHom.from_callable(int(spec["order"]), lambda x: x, "identity")
+        order = _count(spec["order"], "order", MAX_HOM_ORDER)
+        return AlgebraHom.from_callable(order, lambda x: x, "identity")
     if kind == "entrywise_square":
-        order = int(spec["order"])
+        order = _count(spec["order"], "order", MAX_HOM_ORDER)
         def square(x):
             return SemiMatrix(
                 [[x.entry(i, j) * x.entry(i, j) for j in range(order)] for i in range(order)]
@@ -277,7 +288,7 @@ def _cmd_algebra(args):
         h = jsonio._wrap_parse(_parse_hom, "check-hom spec", spec)
         report = hom_verify(
             h,
-            samples=_count(spec.get("samples", 100), "samples"),
+            samples=_count(spec.get("samples", 100), "samples", MAX_HOM_SAMPLES),
             seed=args.seed,
             surjective=bool(spec.get("surjective", False)),
         )
@@ -302,8 +313,9 @@ def _cmd_mcdm(args):
     if not isinstance(weights, list):
         raise ParseError(f"--weights {args.weights} must hold a JSON array")
     alts = [jsonio.parse_ln_vector(a) for a in alts]
-    perm = [_count(p, "--perm entry") for p in args.perm.split(",")]
-    report = mcdm_rank(alts, weights, perm)
+    entries = args.perm.split(",")
+    perm = [_count(p, "--perm entry", len(entries)) for p in entries]
+    report = jsonio._wrap_parse(lambda w: mcdm_rank(alts, w, perm), "--weights", weights)
     report["axiom_footnote"] = (
         "scores live in the saturating ordered layer; see `semikit axioms` "
         "and axiom_audit_ln for the laws that fail under truncation"
@@ -312,7 +324,8 @@ def _cmd_mcdm(args):
 
 
 def _cmd_axioms(args):
-    dim, samples = _count(args.dim, "--dim"), _count(args.samples, "--samples")
+    dim = _count(args.dim, "--dim", MAX_DIM)
+    samples = _count(args.samples, "--samples", MAX_SAMPLES)
     spaces = ("rn", "matrices", "polynomials") if args.space == "all" else (args.space,)
     reports = {}
     ok = True
@@ -347,22 +360,16 @@ def main(argv=None) -> int:
         except (ReducibleMatrix, NoConvergence) as exc:
             payload, ok = {"error": str(exc)}, False
         report = jsonio.build_report(args.command, args.seed, payload, __version__)
-        text = (
-            jsonio.render_json(report)
-            if args.format == "json"
-            else jsonio.render_table(report)
-        )
-    except (ParseError, CaseOutsidePaper) as exc:
+        render = jsonio.render_json if args.format == "json" else jsonio.render_table
+        text = render(report)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (SemikitError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except SemikitError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0 if ok else 1
 
 

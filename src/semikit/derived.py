@@ -415,9 +415,12 @@ def preserver_falsify(candidate: CandidatePreserver, metrics=None) -> dict:
                 f"metric {idx} has entries beyond the candidate domain"
             )
 
+    values = {e for m in metrics for row in m.table for e in row}
+
     def falsify(cand):
+        image = {e: cand(e) for e in values}
         for idx, m in enumerate(metrics):
-            table = [[cand(e) for e in row] for row in m.table]
+            table = [[image[e] for e in row] for row in m.table]
             bad = semimetric_violations(table)
             if bad:
                 return {"metric_index": idx, **bad[0]}

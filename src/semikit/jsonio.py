@@ -252,23 +252,26 @@ def parse_signed(text):
     return _wrap_parse(signed_rat, "rational literal", text)
 
 
-def load_payload(path: str):
-    """Load a JSON file (or CSV for matrices, by extension)."""
+def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    if path.endswith(".csv"):
-        return {"__csv__": text}
+
+
+def load_payload(path: str):
+    """Load a JSON file."""
     try:
-        return json.loads(text, parse_int=bounded_int)
+        return json.loads(_read(path), parse_int=bounded_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"{path} nests JSON arrays or objects too deeply") from None
 
 
 def load_matrix_file(path: str) -> SemiMatrix:
-    payload = load_payload(path)
-    if isinstance(payload, dict) and "__csv__" in payload:
-        return parse_matrix_csv(payload["__csv__"])
-    return parse_matrix(payload)
+    """A matrix from a JSON file, or from CSV when the path ends in .csv."""
+    if path.endswith(".csv"):
+        return parse_matrix_csv(_read(path))
+    return parse_matrix(load_payload(path))

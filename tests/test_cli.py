@@ -6,7 +6,14 @@ import sys
 import pytest
 
 import semikit
-from semikit.cli import _build_parser, main
+from semikit.cli import (
+    MAX_DIM,
+    MAX_HOM_ORDER,
+    MAX_HOM_SAMPLES,
+    MAX_SAMPLES,
+    _build_parser,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +119,13 @@ class TestOpnormCommand:
         m = write(tmp_path, "m.json", [["1", "2"], ["3", "4"]])
         code, out = run_cli(capsys, "opnorm", "--kind", "linf", m)
         assert json.loads(out)["opnorm"]["value"] == "7/1"
+
+    def test_csv_matrix(self, tmp_path, capsys):
+        p = tmp_path / "m.csv"
+        p.write_text("1,2\n3,4\n")
+        code, out = run_cli(capsys, "opnorm", "--kind", "l1", str(p))
+        assert code == 0
+        assert json.loads(out)["opnorm"]["value"] == "6/1"
 
 
 class TestAuditCommand:
@@ -334,7 +348,10 @@ class TestSharedParser:
 
 # Malformed input, one or more rows per subcommand: (files, argv) or
 # (files, argv, text the error message must contain). Each "@name" in argv
-# is replaced by the path of files[name].
+# is replaced by the path of files[name]: a name without a suffix holds its
+# payload as JSON, a name with one (as "s.csv") holds it as raw text. A row
+# that lists USAGE expects argparse to refuse the command line.
+USAGE = "usage: "
 _M = [["2", "1"], ["1", "2"]]
 _ALTS = [["1/3", "1/2"], ["1/4", "3/4"]]
 MALFORMED = {
@@ -405,18 +422,93 @@ MALFORMED = {
     ),
     "axioms-dim-zero": ({}, ["axioms", "--dim", "0"]),
     "axioms-negative-samples": ({}, ["axioms", "--samples", "-1"]),
+    "metric-out-missing-dir": (
+        {"x": ["1"]}, ["metric", "--kind", "l1", "@x", "@x", "--out", "/nonexistent/d/r.json"],
+        "/nonexistent/d/r.json",
+    ),
+    "audit-csv-spec": ({"s.csv": "1,2\n3,4\n"}, ["audit", "--family", "seminorm", "@s.csv"]),
+    "audit-dims-bool-and-float": (
+        {"s": {"dims": [True, 1.9, 2, 3]}}, ["audit", "--family", "category", "@s"], "True"
+    ),
+    "audit-dim-float": ({"s": {"dim": 2.7}}, ["audit", "--family", "seminorm", "@s"], "2.7"),
+    "preserver-moves-zero": (
+        {"f": {"a": "0", "b": "2", "breakpoints": ["0", "2"], "values": ["1", "4"]}},
+        ["audit", "--family", "preserver", "--fn", "@f"],
+        "f(0) = 0",
+    ),
+    "mcdm-perm-padded": (
+        {"a": _ALTS, "w": ["1/2", "1/2"]},
+        ["mcdm", "rank", "--alts", "@a", "--weights", "@w", "--perm", "1, 2"],
+    ),
+    # Each count one past its cap.
+    "axioms-samples-past-cap": ({}, ["axioms", "--samples", str(MAX_SAMPLES + 1)], "--samples"),
+    "axioms-dim-past-cap": ({}, ["axioms", "--dim", str(MAX_DIM + 1)], "--dim"),
+    "audit-samples-past-cap": (
+        {}, ["audit", "--family", "seminorm", "--samples", str(MAX_SAMPLES + 1)], "--samples"
+    ),
+    "audit-dim-past-cap": ({}, ["audit", "--family", "seminorm", "--dim", str(MAX_DIM + 1)], "dim"),
+    "audit-spec-dim-past-cap": (
+        {"s": {"dim": MAX_DIM + 1}}, ["audit", "--family", "semimetric", "@s"], "dim"
+    ),
+    "audit-spec-dims-past-cap": (
+        {"s": {"dims": [1, MAX_DIM + 1, 1, 1]}}, ["audit", "--family", "category", "@s"], "dims"
+    ),
+    "check-hom-samples-past-cap": (
+        {"s": {"kind": "identity", "order": 2, "samples": MAX_HOM_SAMPLES + 1}},
+        ["algebra", "check-hom", "@s"],
+        "samples",
+    ),
+    "check-hom-order-past-cap": (
+        {"s": {"kind": "entrywise_square", "order": MAX_HOM_ORDER + 1}},
+        ["algebra", "check-hom", "@s"],
+        "order",
+    ),
+    "check-hom-perm-past-cap": (
+        {"s": {"kind": "monomial_conjugation", "perm": list(range(MAX_HOM_ORDER + 1, 0, -1)),
+               "diag": ["1"] * (MAX_HOM_ORDER + 1)}},
+        ["algebra", "check-hom", "@s"],
+        "perm",
+    ),
+    # --tol is read by eigen and opnorm only; elsewhere argparse refuses it.
+    **{
+        f"{argv[0]}-tol-unknown": (files, [*argv, "--tol", "1e-9"], USAGE, "--tol")
+        for files, argv in [
+            ({"x": ["1"]}, ["metric", "--kind", "l1", "@x", "@x"]),
+            ({}, ["audit", "--family", "seminorm"]),
+            ({"s": {"constants": [[["0"]]]}}, ["algebra", "lie-audit", "@s"]),
+            ({"a": _ALTS, "w": ["1/2", "1/2"]},
+             ["mcdm", "rank", "--alts", "@a", "--weights", "@w", "--perm", "1,2"]),
+            ({}, ["axioms", "--samples", "4"]),
+        ]
+    },
 }
+
+
+def _put(tmp_path, name, payload):
+    if "." in name:
+        p = tmp_path / name
+        p.write_text(payload)
+        return str(p)
+    return write(tmp_path, f"{name}.json", payload)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exit_2(case, tmp_path, capsys):
     files, argv, *needles = MALFORMED[case]
-    paths = {name: write(tmp_path, f"{name}.json", payload) for name, payload in files.items()}
+    paths = {name: _put(tmp_path, name, payload) for name, payload in files.items()}
     argv = [paths[a[1:]] if a.startswith("@") else a for a in argv]
-    code = main(argv)
+    if USAGE in needles:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        code = exc.value.code
+    else:
+        code = main(argv)
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == "" and captured.err.startswith("error: ")
+    assert code == 2 and captured.out == ""
+    if USAGE in needles:
+        assert "error: " in captured.err
+    else:
+        assert captured.err.startswith("error: ")
     assert all(needle in captured.err for needle in needles)
 
 
