@@ -12,7 +12,8 @@ is 1, so two sequences are equal exactly when their forms are.
 :func:`scaled_dot` sums integer products and builds one Fraction (one gcd)
 per output; :func:`scaled_add` and :func:`scaled_scale` return a form in
 lowest terms with one gcd per result; :func:`unscaled` gives the entries
-back as Fractions.
+back as Fractions. :func:`random_form` draws a form with the same random
+calls as per-entry ``randint`` draws, with no Fraction per entry.
 
 Literals are bounded: an integer part longer than ``MAX_LITERAL_DIGITS``
 is refused with ParseError, whatever the interpreter's own string limit.
@@ -34,6 +35,7 @@ __all__ = [
     "scaled_add",
     "scaled_scale",
     "unscaled",
+    "random_form",
 ]
 
 RAT = Fraction
@@ -79,7 +81,7 @@ def scaled_add(a, b):
 
 
 def scaled_scale(q, a):
-    """A scaled form times the rational q >= 0, in lowest terms."""
+    """A scaled form times the rational q (of either sign), in lowest terms."""
     n = q.numerator
     return _lowest([x * n for x in a[0]], a[1] * q.denominator)
 
@@ -88,6 +90,34 @@ def unscaled(a):
     """The entries of a scaled form, as RATs in lowest terms."""
     ints, den = a
     return [RAT(x, den) for x in ints]
+
+
+def random_form(rng, count, lo, hi, max_den):
+    """The scaled form, in lowest terms, of count rationals drawn as
+    rng.randint(lo, hi) / rng.randint(1, max_den), numerator then
+    denominator, entry by entry.
+
+    randint(a, b) is a + r for the first getrandbits(k) draw r below
+    b - a + 1, k the bit length of b - a + 1 (CPython's _randbelow for
+    random.Random). The loops make exactly those calls, so the values and
+    the generator state after them are randint's, without its argument
+    checks and with no Fraction per entry.
+    """
+    getrandbits = rng.getrandbits
+    span = hi - lo + 1
+    nbits, dbits = span.bit_length(), max_den.bit_length()
+    nums, dens = [], []
+    for _ in range(count):
+        r = getrandbits(nbits)
+        while r >= span:
+            r = getrandbits(nbits)
+        d = getrandbits(dbits)
+        while d >= max_den:
+            d = getrandbits(dbits)
+        nums.append(lo + r)
+        dens.append(d + 1)
+    den = math.lcm(*dens)
+    return _lowest([x * (den // d) for x, d in zip(nums, dens)], den)
 
 
 def _check_digits(text: str):

@@ -66,7 +66,8 @@ _KINDS = {"l2": NormKind.EUCLIDEAN, "l1": NormKind.L1, "linf": NormKind.LINF}
 MAX_SAMPLES = 2000  # --samples of audit and axioms
 MAX_DIM = 12  # --dim of audit and axioms; an audit spec's dim and dims entries
 MAX_HOM_SAMPLES = 1000  # a check-hom spec's samples
-MAX_HOM_ORDER = 8  # a check-hom spec's order, and the length of its perm
+MAX_HOM_ORDER = 8  # a check-hom spec's order, the length of its perm, a table matrix's order
+MAX_HOM_PAIRS = 32  # the pairs of a check-hom table spec (checked in pairs**2 law instances)
 
 
 def _add_common(parser):
@@ -89,7 +90,7 @@ def _build_parser():
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exact-2x2", action="store_true")
     mode.add_argument("--perron", action="store_true")
-    p.add_argument("--tol", default="1e-9", help="Perron tolerance (decimal string)")
+    p.add_argument("--tol", default=None, help="Perron tolerance (decimal string, default 1e-9)")
     _add_common(p)
 
     p = sub.add_parser("metric", help="ordered-difference distance between vectors")
@@ -162,6 +163,8 @@ def _tol(text):
 
 
 def _cmd_eigen(args):
+    if args.exact_2x2 and args.tol is not None:
+        raise ParseError("--tol is read by --perron only, not by --exact-2x2")
     m = jsonio.load_matrix_file(args.matrix)
     if args.exact_2x2:
         if not (m.nrows == m.ncols == 2):
@@ -179,7 +182,7 @@ def _cmd_eigen(args):
                 "upper-triangular matrices only"
             )
         return {"mode": "exact-2x2", "case": case, "eigenpairs": pairs}, True
-    pair = perron_power_iteration(m, tol=_tol(args.tol))
+    pair = perron_power_iteration(m, tol=_tol("1e-9" if args.tol is None else args.tol))
     return {"mode": "perron", "eigenpairs": [pair]}, True
 
 
@@ -269,9 +272,13 @@ def _parse_hom(spec):
             )
         return AlgebraHom.from_callable(order, square, "entrywise_square")
     if kind == "table":
-        pairs = [
-            (jsonio.parse_matrix(a), jsonio.parse_matrix(b)) for a, b in spec["pairs"]
-        ]
+        raw = spec["pairs"]
+        if not isinstance(raw, list):
+            raise ParseError("a table hom's pairs must be a JSON array")
+        _count(len(raw), "number of table pairs", MAX_HOM_PAIRS)
+        pairs = [(jsonio.parse_matrix(a), jsonio.parse_matrix(b)) for a, b in raw]
+        for m in (m for pair in pairs for m in pair):
+            _count(max(m.nrows, m.ncols), "order of a table matrix", MAX_HOM_ORDER)
         return AlgebraHom.from_table(pairs)
     raise ParseError(f"unknown hom kind {kind!r}")
 

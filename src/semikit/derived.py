@@ -11,9 +11,12 @@ the definiteness direction of the classical axioms; semi-inner products
 are audited as symmetric bilinear forms with nonnegative diagonal.
 
 A functional evaluates on the scaled form ``(ints, den)`` of its argument
-(see ``_backend``), built once per call: sums, scalings, atoms and
-pullbacks pass that form on, and ``LinearMapQ._image`` maps one form to
-another, so no Fraction tuple is built between stages.
+(see ``_backend``), and a bilinear form on the scaled forms of its two
+arguments, built once per call: sums, scalings, atoms and pullbacks pass
+those forms on, and ``LinearMapQ._image`` maps one form to another, so no
+Fraction tuple is built between stages. The sampled validators and
+audits draw each probe straight into its form and build a Fraction tuple
+only for a failure witness.
 """
 
 from __future__ import annotations
@@ -21,12 +24,22 @@ from __future__ import annotations
 import random
 from operator import mul
 
-from ._backend import RAT, scaled_dot, scaled_ints, signed_rat, unscaled
+from ._backend import (
+    RAT,
+    random_form,
+    scaled_add,
+    scaled_dot,
+    scaled_ints,
+    scaled_scale,
+    signed_rat,
+    unscaled,
+)
 from .errors import (
     CarrierMismatch,
     DimensionMismatch,
     DomainTooSmall,
     IntervalMismatch,
+    InvalidValue,
     NonComposableChain,
 )
 from .geometry import PiecewiseLinearFn
@@ -75,21 +88,25 @@ def _check_len(v, dim):
         raise DimensionMismatch(f"argument has length {len(v)}, expected {dim}")
 
 
-def _vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _vscale(lam, v):
-    return tuple(lam * a for a in v)
-
-
 def _random_q(rng, signed=False):
     lo = -_MAX_NUM if signed else 0
     return RAT(rng.randint(lo, _MAX_NUM), rng.randint(1, _MAX_DEN))
 
 
+def _signed_form(rng: random.Random, dim: int):
+    """The scaled form of random_signed_vector(rng, dim), with the same
+    random calls and no Fraction per entry."""
+    return random_form(rng, dim, -_MAX_NUM, _MAX_NUM, _MAX_DEN)
+
+
 def random_signed_vector(rng: random.Random, dim: int):
-    return tuple(_random_q(rng, signed=True) for _ in range(dim))
+    """dim signed rationals, each drawn as _random_q(rng, signed=True)."""
+    return tuple(unscaled(_signed_form(rng, dim)))
+
+
+def _witness(form):
+    """The Fraction tuple of a probe's scaled form, for a failure report."""
+    return tuple(unscaled(form))
 
 
 class LinearMapQ:
@@ -214,7 +231,11 @@ def max_linear(rows) -> Functional:
 
 
 class BilinearForm:
-    """Exactly evaluable form on pairs of signed rational tuples."""
+    """Exactly evaluable form on pairs of signed rational tuples.
+
+    ``fn`` takes the scaled forms ``(ints, den)`` of both arguments, as a
+    Functional's takes one; ``__call__`` builds them once.
+    """
 
     __slots__ = ("dim", "_fn", "label")
 
@@ -226,7 +247,7 @@ class BilinearForm:
     def __call__(self, u, v):
         _check_len(u, self.dim)
         _check_len(v, self.dim)
-        return self._fn(u, v)
+        return self._fn(scaled_ints(u), scaled_ints(v))
 
     def __add__(self, other):
         if not isinstance(other, BilinearForm):
@@ -246,11 +267,7 @@ def gram_form(rows) -> BilinearForm:
     """(u, v) -> (M u) . (M v); positive semidefinite by construction."""
     t = LinearMapQ(rows)
     image = t._image
-    return BilinearForm(
-        t.in_dim,
-        lambda u, v: scaled_dot(image(scaled_ints(u)), image(scaled_ints(v))),
-        "gram",
-    )
+    return BilinearForm(t.in_dim, lambda x, y: scaled_dot(image(x), image(y)), "gram")
 
 
 class FiniteSemiMetric:
@@ -267,7 +284,7 @@ class FiniteSemiMetric:
             raise CarrierMismatch("table must be square")
         bad = semimetric_violations(rows)
         if bad:
-            raise ValueError(f"not a semi-metric: {bad[0]}")
+            raise InvalidValue(f"not a semi-metric: {bad[0]}")
         self.table = rows
 
     @property
@@ -348,7 +365,7 @@ class CandidatePreserver:
         if not fn.a.is_zero:
             raise IntervalMismatch("preserver domain must start at 0")
         if not fn.evaluate(ZERO).is_zero:
-            raise ValueError("preserver must satisfy f(0) = 0")
+            raise InvalidValue("preserver must satisfy f(0) = 0")
         self.fn = fn
 
     def __call__(self, t: NonnegScalar) -> NonnegScalar:
@@ -446,58 +463,67 @@ def preserver_falsify(candidate: CandidatePreserver, metrics=None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Axiom validators (exact on sampled probes).
+# Axiom validators (exact on sampled probes). Each probe is drawn as its
+# scaled form, and each value that two axioms share is evaluated once.
 
 def validate_seminorm(f: Functional, samples=48, seed=0) -> dict:
     rng = random.Random(seed)
+    fn = f._fn
     failures = []
     for _ in range(samples):
-        u = random_signed_vector(rng, f.dim)
-        v = random_signed_vector(rng, f.dim)
+        u = _signed_form(rng, f.dim)
+        v = _signed_form(rng, f.dim)
         alpha = _random_q(rng, signed=True)
-        if f(u) < 0:
-            failures.append({"axiom": "nonnegative", "u": u})
-        if f(_vscale(alpha, u)) != abs(alpha) * f(u):
-            failures.append({"axiom": "absolute_homogeneity", "u": u, "alpha": alpha})
-        if f(_vadd(u, v)) > f(u) + f(v):
-            failures.append({"axiom": "triangle", "u": u, "v": v})
+        fu = fn(u)
+        if fu < 0:
+            failures.append({"axiom": "nonnegative", "u": _witness(u)})
+        if fn(scaled_scale(alpha, u)) != abs(alpha) * fu:
+            failures.append({"axiom": "absolute_homogeneity", "u": _witness(u), "alpha": alpha})
+        if fn(scaled_add(u, v)) > fu + fn(v):
+            failures.append({"axiom": "triangle", "u": _witness(u), "v": _witness(v)})
     return {"ok": not failures, "failures": failures, "samples": samples}
 
 
 def validate_inner(p: BilinearForm, samples=48, seed=0) -> dict:
     rng = random.Random(seed)
+    fn = p._fn
     failures = []
     for _ in range(samples):
-        u = random_signed_vector(rng, p.dim)
-        u2 = random_signed_vector(rng, p.dim)
-        v = random_signed_vector(rng, p.dim)
+        u = _signed_form(rng, p.dim)
+        u2 = _signed_form(rng, p.dim)
+        v = _signed_form(rng, p.dim)
         alpha = _random_q(rng, signed=True)
-        if p(u, v) != p(v, u):
-            failures.append({"axiom": "symmetry", "u": u, "v": v})
-        if p(_vadd(u, u2), v) != p(u, v) + p(u2, v):
-            failures.append({"axiom": "additive_first_slot", "u": u, "u2": u2, "v": v})
-        if p(u, _vadd(v, u2)) != p(u, v) + p(u, u2):
-            failures.append({"axiom": "additive_second_slot", "u": u, "v": v})
-        if p(_vscale(alpha, u), v) != alpha * p(u, v):
+        puv = fn(u, v)
+        if puv != fn(v, u):
+            failures.append({"axiom": "symmetry", "u": _witness(u), "v": _witness(v)})
+        if fn(scaled_add(u, u2), v) != puv + fn(u2, v):
+            failures.append(
+                {"axiom": "additive_first_slot", "u": _witness(u), "u2": _witness(u2), "v": _witness(v)}
+            )
+        if fn(u, scaled_add(v, u2)) != puv + fn(u, u2):
+            failures.append({"axiom": "additive_second_slot", "u": _witness(u), "v": _witness(v)})
+        if fn(scaled_scale(alpha, u), v) != alpha * puv:
             failures.append({"axiom": "homogeneous_first_slot", "alpha": alpha})
-        if p(u, _vscale(alpha, v)) != alpha * p(u, v):
+        if fn(u, scaled_scale(alpha, v)) != alpha * puv:
             failures.append({"axiom": "homogeneous_second_slot", "alpha": alpha})
-        if p(u, u) < 0:
-            failures.append({"axiom": "nonnegative_diagonal", "u": u})
+        if fn(u, u) < 0:
+            failures.append({"axiom": "nonnegative_diagonal", "u": _witness(u)})
     return {"ok": not failures, "failures": failures, "samples": samples}
 
 
 def validate_sublinear(f: Functional, samples=48, seed=0) -> dict:
     rng = random.Random(seed)
+    fn = f._fn
     failures = []
     for _ in range(samples):
-        u = random_signed_vector(rng, f.dim)
-        v = random_signed_vector(rng, f.dim)
+        u = _signed_form(rng, f.dim)
+        v = _signed_form(rng, f.dim)
         alpha = _random_q(rng, signed=False)
-        if f(_vadd(u, v)) > f(u) + f(v):
-            failures.append({"axiom": "subadditive", "u": u, "v": v})
-        if f(_vscale(alpha, u)) != alpha * f(u):
-            failures.append({"axiom": "positively_homogeneous", "u": u, "alpha": alpha})
+        fu = fn(u)
+        if fn(scaled_add(u, v)) > fu + fn(v):
+            failures.append({"axiom": "subadditive", "u": _witness(u), "v": _witness(v)})
+        if fn(scaled_scale(alpha, u)) != alpha * fu:
+            failures.append({"axiom": "positively_homogeneous", "u": _witness(u), "alpha": alpha})
     return {"ok": not failures, "failures": failures, "samples": samples}
 
 
@@ -560,11 +586,12 @@ def pullback_seminorm(n: Functional, t: LinearMapQ, samples=48, seed=0, injectiv
     report = validate_seminorm(pulled, samples, seed)
     if injective_certificate:
         rng = random.Random(seed + 1)
+        fn = pulled._fn
         definite_failures = []
         for _ in range(samples):
-            v = random_signed_vector(rng, pulled.dim)
-            if any(x != 0 for x in v) and pulled(v) == 0:
-                definite_failures.append({"axiom": "definiteness", "v": v})
+            v = _signed_form(rng, pulled.dim)
+            if any(v[0]) and fn(v) == 0:
+                definite_failures.append({"axiom": "definiteness", "v": _witness(v)})
         report["definiteness_ok"] = not definite_failures
         report["failures"].extend(definite_failures)
         report["ok"] = report["ok"] and not definite_failures
@@ -587,11 +614,11 @@ def pullback_closure_audit(t: LinearMapQ, norms, lam, samples=48, seed=0) -> dic
     rhs_scale = _pull(n1.scale(lam), t)
     failures = []
     for _ in range(samples):
-        v = random_signed_vector(rng, t.in_dim)
-        if lhs_sum(v) != rhs_sum(v):
-            failures.append({"law": "sum_commutes_with_pullback", "v": v})
-        if lhs_scale(v) != rhs_scale(v):
-            failures.append({"law": "scale_commutes_with_pullback", "v": v})
+        v = _signed_form(rng, t.in_dim)
+        if lhs_sum._fn(v) != rhs_sum._fn(v):
+            failures.append({"law": "sum_commutes_with_pullback", "v": _witness(v)})
+        if lhs_scale._fn(v) != rhs_scale._fn(v):
+            failures.append({"law": "scale_commutes_with_pullback", "v": _witness(v)})
     return {"samples": samples, "ok": not failures, "failures": failures}
 
 
@@ -632,11 +659,10 @@ def category_laws_audit(t1: LinearMapQ, t2: LinearMapQ, t3: LinearMapQ, norms, s
             ("composite_formula", 2, _pull(_pull(n_1, t2), t3), _pull(n, composed_all)),
         )
         for _ in range(samples):
-            probes = [random_signed_vector(rng, d) for d in probe_dims]
-            forms = [scaled_ints(p) for p in probes]  # each probe scaled once
+            forms = [_signed_form(rng, d) for d in probe_dims]
             for law, i, lhs, rhs in laws:
                 if lhs._fn(forms[i]) != rhs._fn(forms[i]):
-                    failures.append({"law": law, "v": probes[i]})
+                    failures.append({"law": law, "v": _witness(forms[i])})
 
     checked = samples * len(norms)
     return {
@@ -656,9 +682,8 @@ def pullback_inner(p: BilinearForm, t1: LinearMapQ, t2: LinearMapQ, samples=48, 
         raise DimensionMismatch("form does not match map codomains")
     if t1.in_dim != t2.in_dim:
         raise DimensionMismatch("maps have different domains")
-    pulled = BilinearForm(
-        t1.in_dim, lambda u, v: p(t1.apply(u), t2.apply(v)), "pb_inner"
-    )
+    fn, image1, image2 = p._fn, t1._image, t2._image
+    pulled = BilinearForm(t1.in_dim, lambda x, y: fn(image1(x), image2(y)), "pb_inner")
     return pulled, validate_inner(pulled, samples, seed)
 
 

@@ -2,6 +2,8 @@
 
 Every error the library raises derives from SemikitError so callers can
 catch the whole family at once. Names follow the operation contracts.
+InvalidValue also derives from ValueError, so that callers which catch a
+ValueError from the constructors it covers keep working.
 """
 
 
@@ -11,6 +13,12 @@ class SemikitError(Exception):
 
 class ParseError(SemikitError):
     """Input text or file does not parse under the documented grammars."""
+
+
+class InvalidValue(SemikitError, ValueError):
+    """A constructor argument lies outside the set the object is defined
+    on (a unit-interval entry past 1, an unsorted vector, a table that is
+    not a semi-metric, a preserver that moves 0)."""
 
 
 class ResultTooLarge(SemikitError):

@@ -26,6 +26,7 @@ from .errors import (
     DimensionMismatch,
     EmptyInput,
     GridMismatch,
+    InvalidValue,
     NotABijection,
 )
 from .scalar import NonnegScalar
@@ -70,7 +71,7 @@ class Ordering(enum.Enum):
 def _unit(x):
     q = signed_rat(x)
     if q < 0 or q > 1:
-        raise ValueError(f"value outside [0, 1]: {q}")
+        raise InvalidValue(f"value outside [0, 1]: {q}")
     return q
 
 
@@ -93,10 +94,10 @@ class FuzzyNumber:
             raise GridMismatch("the level grid must include alpha = 1")
         for lo, hi in iv:
             if lo > hi:
-                raise ValueError("interval endpoints out of order")
+                raise InvalidValue("interval endpoints out of order")
         for i in range(len(lv) - 1):
             if iv[i + 1][0] < iv[i][0] or iv[i + 1][1] > iv[i][1]:
-                raise ValueError("nesting violated: higher cuts must shrink")
+                raise InvalidValue("nesting violated: higher cuts must shrink")
         self.levels = lv
         self.intervals = iv
 
@@ -109,7 +110,7 @@ class FuzzyNumber:
     def triangular(cls, left, peak, right, levels=DEFAULT_LEVELS) -> "FuzzyNumber":
         a, b, c = signed_rat(left), signed_rat(peak), signed_rat(right)
         if not (a <= b <= c):
-            raise ValueError("triangular needs left <= peak <= right")
+            raise InvalidValue("triangular needs left <= peak <= right")
         iv = [(a + alpha * (b - a), c - alpha * (c - b)) for alpha in levels]
         return cls(levels, iv)
 
@@ -216,7 +217,7 @@ class LnVector:
         if not items:
             raise DimensionMismatch("need at least one coordinate")
         if any(items[i] > items[i + 1] for i in range(len(items) - 1)):
-            raise ValueError("coordinates must be nondecreasing")
+            raise InvalidValue("coordinates must be nondecreasing")
         self._coords = items
         self._form = scaled_ints(items)
 
@@ -274,6 +275,8 @@ def ln_oplus(u: LnVector, v: LnVector) -> LnVector:
     because truncation is monotone, so the result needs no re-validation."""
     _check_dims(u, v)
     (xa, da), (xb, db) = u._form, v._form
+    if da == db:
+        return LnVector._from_form(_lowest([min(da, x + y) for x, y in zip(xa, xb)], da))
     den = math.lcm(da, db)
     fa, fb = den // da, den // db
     ints = [min(den, x * fa + y * fb) for x, y in zip(xa, xb)]
@@ -313,21 +316,18 @@ def admissible_leq(u: LnVector, v: LnVector, perm) -> Ordering:
 
 
 def _grid_vectors(n: int, step=RAT(1, 10)):
-    """All nondecreasing vectors over the step grid (exhaustive carrier)."""
-    points = []
-    k = 0
-    while step * k <= 1:
-        points.append(step * k)
-        k += 1
-
+    """All nondecreasing vectors over the step grid (exhaustive carrier),
+    built from their scaled forms: the grid points are the multiples of
+    step's numerator up to its denominator, over that denominator."""
+    num, den = step.numerator, step.denominator
     out = []
 
     def extend(prefix, start):
         if len(prefix) == n:
-            out.append(LnVector(prefix))
+            out.append(LnVector._from_form(_lowest(prefix, den)))
             return
-        for i in range(start, len(points)):
-            extend(prefix + [points[i]], i)
+        for x in range(start, den + 1, num):
+            extend(prefix + [x], x)
 
     extend([], 0)
     return out

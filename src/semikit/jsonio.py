@@ -16,7 +16,7 @@ from fractions import Fraction
 from ._backend import MAX_LITERAL_DIGITS, bounded_int, signed_rat
 from .derived import FiniteSemiMetric, Functional
 from .eigen import EigenPair
-from .errors import ParseError, ResultTooLarge, SemikitError
+from .errors import InvalidValue, ParseError, ResultTooLarge, SemikitError
 from .fuzzy import FuzzyNumber, FuzzyOrder, LnVector, Ordering
 from .geometry import EventuallyConstSeq, PiecewiseLinearFn, Radical
 from .scalar import NonnegScalar, OrderedDiff
@@ -163,9 +163,12 @@ def render_table(report: dict) -> str:
 
 def _wrap_parse(fn, what, payload):
     """fn(payload), with any failure other than a SemikitError raised as a
-    ParseError naming `what`: malformed input exits 2, never a traceback."""
+    ParseError naming `what`: malformed input exits 2, never a traceback.
+    An InvalidValue is named too, as the ValueError it also is."""
     try:
         return fn(payload)
+    except InvalidValue as exc:
+        raise ParseError(f"bad {what}: {exc}") from exc
     except SemikitError:
         raise
     except KeyError as exc:

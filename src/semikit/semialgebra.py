@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 
+from ._backend import _lowest, scaled_ints
 from .errors import (
     DimensionMismatch,
     NotInvertible,
@@ -24,7 +25,7 @@ from .errors import (
 )
 from .scalar import NonnegScalar, ZERO
 from .semilinear import SemiLinearMap
-from .semimodule import SemiMatrix, SemiVector, _monomial_inverse, random_scalar
+from .semimodule import SemiMatrix, SemiVector, _monomial_inverse, _random_form, random_scalar
 
 __all__ = [
     "is_monomial",
@@ -280,19 +281,30 @@ def left_regular_embedding_audit(u: SemiMatrix, v: SemiMatrix, lam) -> dict:
 
 class BracketStructure:
     """Bilinear bracket on the coordinate space given by nonnegative
-    structure constants c[i][j][k]: [u, v]_k = sum c[i][j][k] u_i v_j."""
+    structure constants c[i][j][k]: [u, v]_k = sum c[i][j][k] u_i v_j.
 
-    __slots__ = ("dim", "constants")
+    The cube is also kept as one flat scaled form, stored as its nonzero
+    terms (i, j, k, integer constant) over one denominator, so a bracket
+    sums integer products and reduces once.
+    """
+
+    __slots__ = ("dim", "constants", "_terms", "_den")
 
     def __init__(self, constants):
         self.constants = tuple(
             tuple(tuple(NonnegScalar(x) for x in row) for row in plane)
             for plane in constants
         )
-        self.dim = len(self.constants)
+        n = self.dim = len(self.constants)
         for plane in self.constants:
-            if len(plane) != self.dim or any(len(r) != self.dim for r in plane):
+            if len(plane) != n or any(len(r) != n for r in plane):
                 raise DimensionMismatch("constants must form an n x n x n cube")
+        flat, self._den = scaled_ints(
+            [c._q for plane in self.constants for row in plane for c in row]
+        )
+        self._terms = [
+            (idx // (n * n), idx // n % n, idx % n, c) for idx, c in enumerate(flat) if c
+        ]
 
     @classmethod
     def zero(cls, dim: int) -> "BracketStructure":
@@ -301,27 +313,14 @@ class BracketStructure:
     def bracket(self, u: SemiVector, v: SemiVector) -> SemiVector:
         if u.dim != self.dim or v.dim != self.dim:
             raise DimensionMismatch("vectors do not match the bracket dimension")
-        out = []
-        for k in range(self.dim):
-            acc = ZERO
-            for i in range(self.dim):
-                if u[i].is_zero:
-                    continue
-                for j in range(self.dim):
-                    c = self.constants[i][j][k]
-                    if not c.is_zero:
-                        acc = acc + c * u[i] * v[j]
-            out.append(acc)
-        return SemiVector(out)
+        (x, dx), (y, dy) = u._scaled(), v._scaled()
+        acc = [0] * self.dim
+        for i, j, k, c in self._terms:
+            acc[k] += c * x[i] * y[j]
+        return SemiVector._from_form(_lowest(acc, self._den * dx * dy))
 
     def nonzero_constants(self):
-        return [
-            (i, j, k, self.constants[i][j][k])
-            for i in range(self.dim)
-            for j in range(self.dim)
-            for k in range(self.dim)
-            if not self.constants[i][j][k].is_zero
-        ]
+        return [(i, j, k, self.constants[i][j][k]) for i, j, k, _ in self._terms]
 
 
 def lie_audit(structure: BracketStructure, samples: int = 30, seed: int = 0) -> dict:
@@ -348,13 +347,16 @@ def lie_audit(structure: BracketStructure, samples: int = 30, seed: int = 0) -> 
     rng = random.Random(seed)
     sample_failures = []
     jacobi_failures = []
-    from .semimodule import random_vector
+
+    def draw():
+        # the draws of random_vector(rng, n), straight into the form
+        return SemiVector._from_form(_random_form(rng, n))
 
     for _ in range(samples):
-        v = random_vector(rng, n)
+        v = draw()
         if not structure.bracket(v, v).is_zero:
             sample_failures.append(v)
-        u, w, y = (random_vector(rng, n) for _ in range(3))
+        u, w, y = (draw() for _ in range(3))
         total = (
             structure.bracket(u, structure.bracket(w, y))
             + structure.bracket(y, structure.bracket(u, w))

@@ -13,19 +13,19 @@ entries as integers over the lcm of their denominators, see
 missing one is derived on first use and then kept. Constructors store
 entries; + and scale run on the scaled form and store only that, so a
 chain of them runs in Python ints with one gcd per result. The form is
-canonical, so == and hash compare it directly. axiom_audit draws each
-sample straight into the form, with the same random calls as
-random_scalar and no Fraction per entry.
+canonical, so == and hash compare it directly. The zero carriers are
+built from the zero form ([0] * n, 1). axiom_audit draws each sample
+straight into the form, with the same random calls as random_scalar and
+no Fraction per entry.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
 from . import _signed
-from ._backend import RAT, _lowest, scaled_add, scaled_dot, scaled_ints, scaled_scale, unscaled
+from ._backend import RAT, random_form, scaled_add, scaled_dot, scaled_ints, scaled_scale, unscaled
 from .errors import (
     DimensionMismatch,
     NonUnique,
@@ -104,7 +104,7 @@ class SemiVector:
 
     @classmethod
     def zero(cls, n: int) -> "SemiVector":
-        return cls._wrap(tuple([ZERO] * n))
+        return cls._from_form(([0] * n, 1))
 
     @classmethod
     def unit(cls, n: int, i: int) -> "SemiVector":
@@ -202,7 +202,7 @@ class SemiMatrix:
 
     @classmethod
     def zero(cls, n: int, m: int) -> "SemiMatrix":
-        return cls._wrap(tuple(tuple([ZERO] * m) for _ in range(n)))
+        return cls._from_forms(tuple(([0] * m, 1) for _ in range(n)))
 
     @classmethod
     def identity(cls, n: int) -> "SemiMatrix":
@@ -371,7 +371,7 @@ class SemiPolynomial:
 
     @classmethod
     def zero(cls) -> "SemiPolynomial":
-        return cls(())
+        return cls._from_form(([], 1))
 
     @property
     def degree(self):
@@ -505,12 +505,7 @@ def _random_form(rng: random.Random, k: int):
     """The scaled form of k entries drawn exactly as k random_scalar(rng)
     calls draw them (numerator, then denominator, entry by entry), with no
     Fraction per entry."""
-    nums, dens = [], []
-    for _ in range(k):
-        nums.append(rng.randint(0, 60))
-        dens.append(rng.randint(1, 12))
-    den = math.lcm(*dens)
-    return _lowest([x * (den // d) for x, d in zip(nums, dens)], den)
+    return random_form(rng, k, 0, 60, 12)
 
 
 def random_vector(rng: random.Random, n: int, **kw) -> SemiVector:

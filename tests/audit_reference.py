@@ -4,8 +4,9 @@ These are the ordered layer and the carrier law audits as they were
 before they moved to the scaled form: an ``LnVector`` is a plain tuple of
 Fractions, every truncated sum is one Fraction add and compare per
 coordinate, and every sampled entry is drawn as a ``random_scalar``. The
-scaled-form code must give the same values, the same samples and the same
-reports.
+zero carriers hold ``ZERO`` scalars, and the Lie bracket sums
+``NonnegScalar`` products term by term. The scaled-form code must give the
+same values, the same samples and the same reports.
 """
 
 import random
@@ -16,10 +17,10 @@ from semikit.semimodule import (
     _LAW_NAMES,
     SemiMatrix,
     SemiPolynomial,
+    SemiVector,
     check_cancellation,
     random_scalar,
     random_vector,
-    _zero_like,
 )
 
 _ONE = RAT(1)
@@ -204,6 +205,14 @@ def axiom_audit_ln(n=2, seed=0, samples=2000):
 # ---------------------------------------------------------------------------
 # The carrier law audit with one random_scalar per sampled entry.
 
+def _zero_like(x):
+    if isinstance(x, SemiVector):
+        return SemiVector([ZERO] * x.dim)
+    if isinstance(x, SemiMatrix):
+        return SemiMatrix([[ZERO] * x.ncols for _ in range(x.nrows)])
+    return SemiPolynomial(())
+
+
 def check_svs_laws(u, v, w, alpha, beta):
     """semimodule.check_svs_laws with every subexpression evaluated where
     its law reads it."""
@@ -270,4 +279,78 @@ def axiom_audit(space="rn", dim=3, samples=1000, seed=0, on_triple=None):
         "cancellation_failures": cancellation_failures,
         "all_hold": total == 0,
         "witnesses": witnesses,
+    }
+
+
+# ---------------------------------------------------------------------------
+# The Lie bracket and its audit on NonnegScalars.
+
+def bracket(structure, u, v):
+    """[u, v]_k = sum c[i][j][k] u_i v_j, one NonnegScalar add and two
+    multiplies per nonzero term."""
+    n = structure.dim
+    out = []
+    for k in range(n):
+        acc = ZERO
+        for i in range(n):
+            if u[i].is_zero:
+                continue
+            for j in range(n):
+                c = structure.constants[i][j][k]
+                if not c.is_zero:
+                    acc = acc + c * u[i] * v[j]
+        out.append(acc)
+    return SemiVector(out)
+
+
+def lie_audit(structure, samples=30, seed=0):
+    """semialgebra.lie_audit with the reference bracket and random_vector."""
+    n = structure.dim
+    witnesses = []
+    for i in range(n):
+        e = SemiVector.unit(n, i)
+        val = bracket(structure, e, e)
+        if not val.is_zero:
+            witnesses.append({"vector": e, "bracket": val})
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = SemiVector.unit(n, i) + SemiVector.unit(n, j)
+            val = bracket(structure, v, v)
+            if not val.is_zero:
+                witnesses.append({"vector": v, "bracket": val})
+    rng = random.Random(seed)
+    sample_failures = jacobi_failures = 0
+    for _ in range(samples):
+        v = random_vector(rng, n)
+        if not bracket(structure, v, v).is_zero:
+            sample_failures += 1
+        u, w, y = (random_vector(rng, n) for _ in range(3))
+        total = (
+            bracket(structure, u, bracket(structure, w, y))
+            + bracket(structure, y, bracket(structure, u, w))
+            + bracket(structure, w, bracket(structure, y, u))
+        )
+        if not total.is_zero:
+            jacobi_failures += 1
+    nonzero = [
+        (i, j, k, c)
+        for i, plane in enumerate(structure.constants)
+        for j, row in enumerate(plane)
+        for k, c in enumerate(row)
+        if not c.is_zero
+    ]
+    zero_bracket = not witnesses and not nonzero
+    return {
+        "dimension": n,
+        "nonzero_constants": nonzero,
+        "alternating_ok": not witnesses,
+        "alternating_witnesses": witnesses,
+        "alternating_sample_failures": sample_failures,
+        "jacobi_sample_failures": jacobi_failures,
+        "verdict": "zero_bracket" if zero_bracket else "falsified",
+        "note": (
+            "alternating law plus nonnegative constants force the abelian bracket"
+            if zero_bracket
+            else "nonzero constants contradict the alternating law on a simple carrier"
+        ),
     }

@@ -4,9 +4,11 @@ These are the functionals, maps, pullbacks and audits of ``derived`` as
 they were before they moved to the scaled form: a functional takes a
 tuple of Fractions and re-scales it in every atom, ``LinearMapQ.apply``
 returns a Fraction tuple, and every pullback stage hands that tuple to
-the next. The scaled-form code must give the same values and the same
-reports. The axiom validators did not change; the audits here call the
-library's validators on these tuple-based objects.
+the next. The axiom validators are the tuple validators too: each probe
+is a Fraction tuple from ``random_signed_vector``, every sum and scaling
+of probes is element-wise Fraction arithmetic, and each law evaluates its
+own sides. The scaled-form code must give the same values and the same
+reports.
 
 ``semimetric_violations`` is the check of a finite semi-metric table as it
 was before it moved to integers over one denominator: every comparison
@@ -18,13 +20,7 @@ from itertools import islice
 from operator import mul
 
 from semikit._backend import RAT, scaled_dot, scaled_ints
-from semikit.derived import (
-    FiniteSemiMetric,
-    _q,
-    validate_inner,
-    validate_seminorm,
-    validate_sublinear,
-)
+from semikit.derived import FiniteSemiMetric, _q
 from semikit.errors import CarrierMismatch, DimensionMismatch, NonComposableChain
 from semikit.scalar import NonnegScalar
 
@@ -60,11 +56,73 @@ def semimetric_violations(rows):
     return out
 
 
-def random_signed_vector(rng, dim, max_num=40, max_den=8):
-    return tuple(
-        RAT(rng.randint(-max_num, max_num), rng.randint(1, max_den))
-        for _ in range(dim)
-    )
+def random_q(rng, signed=False, max_num=40, max_den=8):
+    return RAT(rng.randint(-max_num if signed else 0, max_num), rng.randint(1, max_den))
+
+
+def random_signed_vector(rng, dim):
+    return tuple(random_q(rng, signed=True) for _ in range(dim))
+
+
+def _vadd(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def _vscale(lam, v):
+    return tuple(lam * a for a in v)
+
+
+def validate_seminorm(f, samples=48, seed=0):
+    rng = random.Random(seed)
+    failures = []
+    for _ in range(samples):
+        u = random_signed_vector(rng, f.dim)
+        v = random_signed_vector(rng, f.dim)
+        alpha = random_q(rng, signed=True)
+        if f(u) < 0:
+            failures.append({"axiom": "nonnegative", "u": u})
+        if f(_vscale(alpha, u)) != abs(alpha) * f(u):
+            failures.append({"axiom": "absolute_homogeneity", "u": u, "alpha": alpha})
+        if f(_vadd(u, v)) > f(u) + f(v):
+            failures.append({"axiom": "triangle", "u": u, "v": v})
+    return {"ok": not failures, "failures": failures, "samples": samples}
+
+
+def validate_inner(p, samples=48, seed=0):
+    rng = random.Random(seed)
+    failures = []
+    for _ in range(samples):
+        u = random_signed_vector(rng, p.dim)
+        u2 = random_signed_vector(rng, p.dim)
+        v = random_signed_vector(rng, p.dim)
+        alpha = random_q(rng, signed=True)
+        if p(u, v) != p(v, u):
+            failures.append({"axiom": "symmetry", "u": u, "v": v})
+        if p(_vadd(u, u2), v) != p(u, v) + p(u2, v):
+            failures.append({"axiom": "additive_first_slot", "u": u, "u2": u2, "v": v})
+        if p(u, _vadd(v, u2)) != p(u, v) + p(u, u2):
+            failures.append({"axiom": "additive_second_slot", "u": u, "v": v})
+        if p(_vscale(alpha, u), v) != alpha * p(u, v):
+            failures.append({"axiom": "homogeneous_first_slot", "alpha": alpha})
+        if p(u, _vscale(alpha, v)) != alpha * p(u, v):
+            failures.append({"axiom": "homogeneous_second_slot", "alpha": alpha})
+        if p(u, u) < 0:
+            failures.append({"axiom": "nonnegative_diagonal", "u": u})
+    return {"ok": not failures, "failures": failures, "samples": samples}
+
+
+def validate_sublinear(f, samples=48, seed=0):
+    rng = random.Random(seed)
+    failures = []
+    for _ in range(samples):
+        u = random_signed_vector(rng, f.dim)
+        v = random_signed_vector(rng, f.dim)
+        alpha = random_q(rng, signed=False)
+        if f(_vadd(u, v)) > f(u) + f(v):
+            failures.append({"axiom": "subadditive", "u": u, "v": v})
+        if f(_vscale(alpha, u)) != alpha * f(u):
+            failures.append({"axiom": "positively_homogeneous", "u": u, "alpha": alpha})
+    return {"ok": not failures, "failures": failures, "samples": samples}
 
 
 class Functional:
@@ -345,3 +403,12 @@ def category_laws_audit(t1, t2, t3, norms, samples=100, seed=0):
         "ok": not failures,
         "failures": failures,
     }
+
+
+def pullback_inner(p, t1, t2, samples=48, seed=0):
+    if p.dim != t1.out_dim or p.dim != t2.out_dim:
+        raise DimensionMismatch("form does not match map codomains")
+    if t1.in_dim != t2.in_dim:
+        raise DimensionMismatch("maps have different domains")
+    pulled = BilinearForm(t1.in_dim, lambda u, v: p(t1.apply(u), t2.apply(v)), "pb_inner")
+    return pulled, validate_inner(pulled, samples, seed)

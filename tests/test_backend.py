@@ -1,10 +1,13 @@
+import math
 import os
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from semikit._backend import BACKEND, MAX_LITERAL_DIGITS, RAT, signed_rat
+from semikit._backend import BACKEND, MAX_LITERAL_DIGITS, RAT, random_form, signed_rat
 from semikit.errors import ParseError
 from semikit.jsonio import load_payload
 from semikit.scalar import parse_scalar
@@ -22,6 +25,27 @@ def test_signed_literal_parsing():
     assert signed_rat("-3/4") == RAT(-3, 4)
     assert signed_rat("0.75") == RAT(3, 4)
     assert signed_rat(2) == RAT(2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    count=st.integers(0, 12),
+    lo=st.integers(-70, 70),
+    width=st.integers(0, 140),
+    max_den=st.integers(1, 40),
+)
+def test_random_form_draws_like_randint(seed, count, lo, width, max_den):
+    """Over many draws, the values and the generator state after them are
+    those of randint(lo, hi) / randint(1, max_den), entry by entry."""
+    hi = lo + width
+    rng, rng_ref = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        ints, den = random_form(rng, count, lo, hi, max_den)
+        want = [RAT(rng_ref.randint(lo, hi), rng_ref.randint(1, max_den)) for _ in range(count)]
+        assert [RAT(x, den) for x in ints] == want
+        assert math.gcd(den, *ints) == 1
+        assert rng.getstate() == rng_ref.getstate()
 
 
 # Literal length bound: no digit run longer than MAX_LITERAL_DIGITS, the

@@ -9,6 +9,7 @@ import semikit
 from semikit.cli import (
     MAX_DIM,
     MAX_HOM_ORDER,
+    MAX_HOM_PAIRS,
     MAX_HOM_SAMPLES,
     MAX_SAMPLES,
     _build_parser,
@@ -468,6 +469,33 @@ MALFORMED = {
                "diag": ["1"] * (MAX_HOM_ORDER + 1)}},
         ["algebra", "check-hom", "@s"],
         "perm",
+    ),
+    "check-hom-table-pairs-past-cap": (
+        {"s": {"kind": "table", "pairs": [[_M, _M]] * (MAX_HOM_PAIRS + 1)}},
+        ["algebra", "check-hom", "@s"],
+        "pairs",
+    ),
+    "check-hom-table-order-past-cap": (
+        {"s": {"kind": "table", "pairs": [[[["1"] * (MAX_HOM_ORDER + 1)] * (MAX_HOM_ORDER + 1)] * 2]}},
+        ["algebra", "check-hom", "@s"],
+        "order",
+    ),
+    "check-hom-table-no-pairs": (
+        {"s": {"kind": "table", "pairs": []}}, ["algebra", "check-hom", "@s"], "pairs"
+    ),
+    "check-hom-table-pairs-not-a-list": (
+        {"s": {"kind": "table", "pairs": {"a": 1}}}, ["algebra", "check-hom", "@s"], "pairs"
+    ),
+    # --tol is read by eigen --perron only.
+    "eigen-exact-2x2-tol": (
+        {"m": [["2", "0"], ["0", "5"]]},
+        ["eigen", "--matrix", "@m", "--exact-2x2", "--tol", "1e-9"],
+        "--tol",
+    ),
+    "eigen-exact-2x2-tol-not-a-number": (
+        {"m": [["2", "0"], ["0", "5"]]},
+        ["eigen", "--matrix", "@m", "--exact-2x2", "--tol", "banana"],
+        "--tol",
     ),
     # --tol is read by eigen and opnorm only; elsewhere argparse refuses it.
     **{

@@ -4,11 +4,12 @@ main() is called in-process on generated command lines for every
 subcommand. Each command is built well-formed, then perhaps spoilt: a
 malformed literal, a wrong shape, an unknown key or a value of the wrong
 type in one input file; an unreadable or missing file; a bad --out path; a
-flag the command does not take; a count past its cap. Counts are also drawn
-at their caps, one at a time. Whatever the input, main() returns 0, 1 or 2
-within a CPU-time bound; a JSON report is strict JSON; exit 1 carries a
-documented payload; exit 2 prints an error line and no report; and the only
-exception is argparse's SystemExit(2) for a command line it refuses.
+flag the command does not take, or one its mode does not read (--tol with
+eigen --exact-2x2); a count past its cap. Counts are also drawn at their
+caps, one at a time. Whatever the input, main() returns 0, 1 or 2 within a
+CPU-time bound; a JSON report is strict JSON; exit 1 carries a documented
+payload; exit 2 prints an error line and no report; and the only exception
+is argparse's SystemExit(2) for a command line it refuses.
 """
 
 import json
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from semikit.cli import MAX_DIM, MAX_HOM_ORDER, MAX_HOM_SAMPLES, MAX_SAMPLES, main
+from semikit.cli import MAX_DIM, MAX_HOM_ORDER, MAX_HOM_PAIRS, MAX_HOM_SAMPLES, MAX_SAMPLES, main
 
 # CPU seconds one call may take. Counts reach their caps one at a time here,
 # the other counts small, and a samples count only in its command's cheapest
@@ -187,12 +188,24 @@ def audit(draw):
     return argv
 
 
+def _table_pairs(count, order):
+    """count (a table spec's number of pairs) pairs of order x order
+    matrices, drawn as one pair repeated, so that a count at its cap stays
+    cheap to draw; a count that is no integer is the pairs value itself."""
+    if type(count) is not int:
+        return st.just(count)
+    order = order if type(order) is int and order > 0 else 2
+    return st.tuples(grid(order, order), grid(order, order)).map(lambda p: [list(p)] * max(count, 0))
+
+
 @st.composite
 def check_hom(draw):
-    c = draw(counts({"samples": MAX_HOM_SAMPLES, "order": MAX_HOM_ORDER}))
+    c = draw(counts({"samples": MAX_HOM_SAMPLES, "order": MAX_HOM_ORDER, "pairs": MAX_HOM_PAIRS}))
     hom = draw(st.sampled_from(["monomial_conjugation", "identity", "entrywise_square", "table", "x"]))
     if c["samples"] == MAX_HOM_SAMPLES:
         hom, c["order"] = "identity", 1
+    if c["pairs"] in (MAX_HOM_PAIRS, MAX_HOM_PAIRS + 1):
+        hom = "table"
     spec = {"kind": hom, "order": 2 if c["order"] is None else c["order"]}
     if c["samples"] is not None:
         spec["samples"] = c["samples"]
@@ -201,8 +214,10 @@ def check_hom(draw):
         order = order if type(order) is int and order > 0 else 2
         spec["perm"] = draw(st.permutations(range(1, order + 1)))
         spec["diag"] = draw(st.lists(positive, min_size=order, max_size=order))
-    elif hom == "table":
+    elif hom == "table" and c["pairs"] is None:
         spec["pairs"] = draw(st.lists(st.tuples(grid(2, 2), grid(2, 2)).map(list), min_size=1, max_size=3))
+    elif hom == "table":
+        spec["pairs"] = draw(_table_pairs(c["pairs"], spec.pop("order")))
     if draw(st.booleans()):
         spec["surjective"] = True
     return spec
@@ -315,6 +330,37 @@ def test_commands(case, tmp_path_factory, capsys):
     _check(case, tmp_path_factory, capsys)
 
 
+def _table_hom(count, order):
+    """check-hom on a table of count copies of one pair of order x order
+    diagonal matrices."""
+    m = [["1/2" if i == j else "0" for j in range(order)] for i in range(order)]
+    return ["algebra", "check-hom", ("json", {"kind": "table", "pairs": [[m, m]] * count})]
+
+
+def _eigen(mode, m):
+    return ["eigen", "--matrix", ("json", m), mode, "--tol", "1e-9"]
+
+
+# The caps of a table hom and --tol with eigen --exact-2x2, each at its
+# limit and one past it: (command, whether it must exit 2).
+_AT_AND_PAST = {
+    "pairs-at-cap": (_table_hom(MAX_HOM_PAIRS, 2), False),
+    "pairs-past-cap": (_table_hom(MAX_HOM_PAIRS + 1, 2), True),
+    "order-at-cap": (_table_hom(1, MAX_HOM_ORDER), False),
+    "order-past-cap": (_table_hom(1, MAX_HOM_ORDER + 1), True),
+    "perron-tol": (_eigen("--perron", [["2", "1"], ["1", "2"]]), False),
+    "exact-2x2-tol": (_eigen("--exact-2x2", [["2", "0"], ["0", "5"]]), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_AT_AND_PAST))
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_at_and_past_limits(case, fmt, tmp_path_factory, capsys):
+    command, refused = _AT_AND_PAST[case]
+    code = _check((list(command), "0", fmt, "stdout", []), tmp_path_factory, capsys)
+    assert (code == 2) == refused
+
+
 # Each kind of defect gets its own examples: one draw from a flat list
 # would leave the rarer kinds to chance.
 @pytest.mark.parametrize("defect", _FILE_DEFECTS + sorted(_OTHER_DEFECTS))
@@ -325,7 +371,8 @@ def test_commands_with_one_defect(defect, data, tmp_path_factory, capsys):
 
 
 def _check(case, tmp_path_factory, capsys):
-    """Run one case through main() and check the contract of the boundary."""
+    """Run one case through main(), check the contract of the boundary, and
+    return the exit code."""
     command, seed, fmt, out, extra = case
     name = command[0]
     tmp = tmp_path_factory.mktemp("boundary")
@@ -350,9 +397,11 @@ def _check(case, tmp_path_factory, capsys):
 
     assert spent < CALL_CPU_S, (argv, spent)
     assert code in (0, 1, 2), argv
+    if name == "eigen" and "--exact-2x2" in argv and "--tol" in argv:
+        assert code == 2, argv  # --tol is read by --perron only
     if by_argparse or code == 2:
         assert code == 2 and captured.out == "" and "error: " in captured.err, argv
-        return
+        return code
     # a flag the command does not take, or an unwritable --out, exits 2
     assert extra != ["--bogus"] and out in ("stdout", "file"), argv
     assert not extra or name in ("eigen", "opnorm"), argv
@@ -365,3 +414,4 @@ def _check(case, tmp_path_factory, capsys):
             assert name in ("audit", "algebra", "axioms") or "error" in report, argv
     else:
         assert text.endswith("\n") and not text.startswith("{")
+    return code

@@ -38,6 +38,7 @@ from semikit.errors import (
     DimensionMismatch,
     DomainTooSmall,
     NonComposableChain,
+    SemikitError,
 )
 
 from conftest import NS
@@ -54,6 +55,21 @@ def preserver(points, values, b):
 SQUARE_ON_GRID = preserver([0, 1, 2], [0, 1, 4], 2)   # agrees with t^2 at 0,1,2
 DOUBLE = preserver([0, 2], [0, 4], 2)                 # t -> 2t
 CAP = preserver([0, 1, 2], [0, 1, 1], 2)              # t -> min(t, 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: preserver([0, 2], [1, 4], 2),
+        lambda: FiniteSemiMetric([[0, 1], [2, 0]]),
+    ],
+    ids=["preserver-moves-zero", "not-a-semimetric"],
+)
+def test_malformed_arguments_raise_a_semikit_error(build):
+    # a SemikitError that is still the ValueError these constructors used to raise
+    with pytest.raises(SemikitError) as exc:
+        build()
+    assert isinstance(exc.value, ValueError)
 
 
 class TestFiniteSemiMetric:
@@ -129,7 +145,8 @@ class TestSpaceClosure:
     def test_inner_validator_catches_asymmetry(self):
         from semikit import BilinearForm
 
-        skew = BilinearForm(2, lambda u, v: u[0] * v[1], "skew")
+        # fn takes the scaled forms (ints, den) of both arguments: u0 * v1.
+        skew = BilinearForm(2, lambda x, y: Fraction(x[0][0] * y[0][1], x[1] * y[1]), "skew")
         assert not validate_inner(skew, samples=64, seed=1)["ok"]
 
 

@@ -1,5 +1,6 @@
-"""Differential tests: the scaled-form functionals, maps, pullbacks and
-audits of ``derived`` against the tuple references in derived_reference.py."""
+"""Differential tests: the scaled-form functionals, maps, pullbacks,
+validators and audits of ``derived`` against the tuple references in
+derived_reference.py."""
 
 import random
 from fractions import Fraction
@@ -209,3 +210,71 @@ def test_pullback_reports_match(seed):
     assert pulled.label == ref_pulled.label
     got = derived.pullback_closure_audit(t, norms, lam, samples=24, seed=seed)
     assert got == ref.pullback_closure_audit(rt, ref_norms, lam, samples=24, seed=seed)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+@pytest.mark.parametrize("seed", [0, 3, 77])
+def test_signed_form_draws_like_random_signed_vector(dim, seed):
+    rng, rng_ref = random.Random(seed), random.Random(seed)
+    for _ in range(50):
+        form = derived._signed_form(rng, dim)
+        assert [Fraction(x, form[1]) for x in form[0]] == list(ref.random_signed_vector(rng_ref, dim))
+        assert rng.getstate() == rng_ref.getstate()
+    assert derived.random_signed_vector(rng, dim) == ref.random_signed_vector(rng_ref, dim)
+    assert rng.getstate() == rng_ref.getstate()
+
+
+def _skew(mod, i, j):
+    """(u, v) -> u_i v_j, which is not symmetric for i != j; fn takes the
+    scaled forms in the library and the tuples in the reference."""
+    if mod is derived:
+        return derived.BilinearForm(2, lambda x, y: Fraction(x[0][i] * y[0][j], x[1] * y[1]), "skew")
+    return ref.BilinearForm(2, lambda u, v: u[i] * v[j], "skew")
+
+
+# Objects outside their family, so that the reports carry failure witnesses.
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_failing_reports_match(data):
+    seed = data.draw(st.integers(0, 2**16))
+    samples = data.draw(st.integers(1, 8))
+    i, j = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
+    got = derived.validate_inner(_skew(derived, i, j), samples, seed)
+    assert got == ref.validate_inner(_skew(ref, i, j), samples, seed)
+    assert got["ok"] == (i == j)
+
+    dim = data.draw(DIMS)
+    rows = data.draw(matrices(data.draw(st.integers(1, 3)), dim))
+    # A maximum of linear maps is sublinear; it is a seminorm only when
+    # it is nonnegative and even, which a drawn one rarely is.
+    for validate in ("validate_seminorm", "validate_sublinear"):
+        got = getattr(derived, validate)(derived.max_linear(rows), samples, seed)
+        assert got == getattr(ref, validate)(ref.max_linear(rows), samples, seed)
+
+    out_dim = data.draw(DIMS)
+    gram = data.draw(matrices(data.draw(st.integers(1, 3)), out_dim))
+    t1, t2 = (data.draw(matrices(out_dim, dim)) for _ in range(2))
+    pulled, got = derived.pullback_inner(
+        derived.gram_form(gram), derived.LinearMapQ(t1), derived.LinearMapQ(t2), samples, seed
+    )
+    ref_pulled, want = ref.pullback_inner(
+        ref.gram_form(gram), ref.LinearMapQ(t1), ref.LinearMapQ(t2), samples, seed
+    )
+    assert got == want
+    u, v = data.draw(vectors(dim)), data.draw(vectors(dim))
+    assert pulled(u, v) == ref_pulled(u, v)
+
+
+def test_failing_reports_carry_witnesses():
+    got = derived.validate_inner(_skew(derived, 0, 1), 8, 1)
+    assert got == ref.validate_inner(_skew(ref, 0, 1), 8, 1)
+    assert any(f["axiom"] == "symmetry" for f in got["failures"])
+    got = derived.validate_seminorm(derived.max_linear([[1, 0]]), 8, 1)
+    assert got == ref.validate_seminorm(ref.max_linear([[1, 0]]), 8, 1)
+    assert {f["axiom"] for f in got["failures"]} >= {"nonnegative", "absolute_homogeneity"}
+    t1, t2 = [[1, 0], [0, 1]], [[0, 1], [1, 0]]
+    _, got = derived.pullback_inner(
+        derived.gram_form(t1), derived.LinearMapQ(t1), derived.LinearMapQ(t2), 8, 1
+    )
+    _, want = ref.pullback_inner(ref.gram_form(t1), ref.LinearMapQ(t1), ref.LinearMapQ(t2), 8, 1)
+    assert got == want and not got["ok"]

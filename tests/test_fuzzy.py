@@ -23,7 +23,7 @@ from semikit import (
     mcdm_rank,
     product_order_leq,
 )
-from semikit.errors import DimensionMismatch, EmptyInput, NotABijection
+from semikit.errors import DimensionMismatch, EmptyInput, NotABijection, SemikitError
 from semikit.fuzzy import _grid_vectors
 
 from conftest import NS
@@ -31,6 +31,26 @@ from conftest import NS
 
 def interval(x: FuzzyNumber, level):
     return x.interval_at(Fraction(level))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FuzzyNumber([1], [(2, 1)]),
+        lambda: FuzzyNumber(["1/2", 1], [(0, 1), (-1, 1)]),
+        lambda: FuzzyNumber.triangular(3, 2, 1),
+        lambda: LnVector(["0.5", "0.2"]),
+        lambda: LnVector(["0.5", "3/2"]),
+        lambda: ln_scale(2, LnVector(["0.5"])),
+        lambda: mcdm_rank([["0.5"]], ["3/2"], [1]),
+    ],
+    ids=["endpoints", "nesting", "triangular", "unsorted", "past-one", "scale-past-one", "weight"],
+)
+def test_malformed_arguments_raise_a_semikit_error(build):
+    # a SemikitError that is still the ValueError these calls used to raise
+    with pytest.raises(SemikitError) as exc:
+        build()
+    assert isinstance(exc.value, ValueError)
 
 
 class TestFuzzyNumbers:

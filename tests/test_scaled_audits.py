@@ -1,5 +1,5 @@
-"""Differential tests: the scaled-form LnVector and law-audit samplers
-against the Fraction references in audit_reference.py."""
+"""Differential tests: the scaled-form LnVector, law-audit samplers and
+Lie bracket against the Fraction references in audit_reference.py."""
 
 import math
 import random
@@ -18,7 +18,8 @@ from semikit.fuzzy import (
     ln_scale,
     product_order_leq,
 )
-from semikit.semimodule import _random_form, axiom_audit, random_scalar
+from semikit.semialgebra import BracketStructure, lie_audit
+from semikit.semimodule import SemiVector, _random_form, axiom_audit, random_scalar
 
 import audit_reference as ref
 
@@ -137,3 +138,41 @@ def test_axiom_audit_matches_reference(space, dim, seed, monkeypatch):
     assert seen == drawn
     for triple in drawn:
         assert check(*triple) == ref.check_svs_laws(*triple)
+
+
+NONNEG = (
+    st.just(Fraction(0))
+    | st.builds(Fraction, st.integers(0, 9), st.integers(1, 4))
+    | st.builds(Fraction, st.integers(0, _BIG), st.integers(1, _BIG))
+)
+
+
+@st.composite
+def brackets(draw):
+    """A structure of dimension 1-4 with mostly zero constants (all zero in
+    about a third of the draws) and two vectors for it."""
+    n = draw(st.integers(1, 4))
+    sparse = draw(st.sampled_from([0, 0.2, 0.6]))
+    constants = [
+        [[draw(NONNEG) if draw(st.floats(0, 1)) < sparse else 0 for _ in range(n)] for _ in range(n)]
+        for _ in range(n)
+    ]
+    u, v = (draw(st.lists(NONNEG, min_size=n, max_size=n)) for _ in range(2))
+    return BracketStructure(constants), SemiVector(u), SemiVector(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(brackets())
+def test_bracket_matches_reference(case):
+    structure, u, v = case
+    got, want = structure.bracket(u, v), ref.bracket(structure, u, v)
+    assert got == want
+    assert tuple(got) == tuple(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(brackets(), st.integers(0, 2**16))
+def test_lie_audit_matches_reference(case, seed):
+    structure = case[0]
+    got, want = lie_audit(structure, samples=6, seed=seed), ref.lie_audit(structure, samples=6, seed=seed)
+    assert _rendered(got) == _rendered(want)
