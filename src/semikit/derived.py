@@ -552,7 +552,7 @@ def space_closure_audit(family: str, a, b, lam, samples=48, seed=0) -> dict:
     sampled probes for functionals)."""
     lam = NonnegScalar(lam)
     if family not in _FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+        raise InvalidValue(f"unknown family {family!r}")
     cls, validator = _FAMILIES[family]
     if not isinstance(a, cls) or not isinstance(b, cls):
         raise CarrierMismatch(f"{family} family expects {cls.__name__} objects")

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .errors import (
     CaseOutsidePaper,
     DimensionMismatch,
+    InvalidValue,
     NoConvergence,
     NotSquare,
     ReducibleMatrix,
@@ -211,7 +212,7 @@ def perron_power_iteration(
     if not matrix.is_square:
         raise NotSquare("power iteration needs a square matrix")
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise InvalidValue("tol must be positive")
     exponent = _primitivity_exponent(matrix)
     if exponent is None:
         raise ReducibleMatrix("primitivity probe failed within the Wielandt bound")

@@ -3,7 +3,7 @@
 Every error the library raises derives from SemikitError so callers can
 catch the whole family at once. Names follow the operation contracts.
 InvalidValue also derives from ValueError, so that callers which catch a
-ValueError from the constructors it covers keep working.
+ValueError from the constructors and functions it covers keep working.
 """
 
 
@@ -16,9 +16,10 @@ class ParseError(SemikitError):
 
 
 class InvalidValue(SemikitError, ValueError):
-    """A constructor argument lies outside the set the object is defined
+    """An argument lies outside the set the object or operation is defined
     on (a unit-interval entry past 1, an unsorted vector, a table that is
-    not a semi-metric, a preserver that moves 0)."""
+    not a semi-metric, a preserver that moves 0, an unknown audit space or
+    family, p < 1, a tolerance that is not positive)."""
 
 
 class ResultTooLarge(SemikitError):

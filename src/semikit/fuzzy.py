@@ -275,8 +275,6 @@ def ln_oplus(u: LnVector, v: LnVector) -> LnVector:
     because truncation is monotone, so the result needs no re-validation."""
     _check_dims(u, v)
     (xa, da), (xb, db) = u._form, v._form
-    if da == db:
-        return LnVector._from_form(_lowest([min(da, x + y) for x, y in zip(xa, xb)], da))
     den = math.lcm(da, db)
     fa, fb = den // da, den // db
     ints = [min(den, x * fa + y * fb) for x, y in zip(xa, xb)]

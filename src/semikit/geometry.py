@@ -23,6 +23,7 @@ from ._backend import RAT, scaled_dot
 from .errors import (
     DimensionMismatch,
     IntervalMismatch,
+    InvalidValue,
     ResultTooLarge,
     UnsupportedTail,
 )
@@ -56,7 +57,7 @@ class NormKind(enum.Enum):
 def _int_root(n: int, p: int):
     """Exact integer p-th root of n, or None."""
     if n < 0:
-        raise ValueError("negative radicand")
+        raise InvalidValue("negative radicand")
     if n in (0, 1):
         return n
     if p == 2:
@@ -83,7 +84,7 @@ class Radical:
 
     def __init__(self, radicand: NonnegScalar, index: int = 2):
         if index < 1:
-            raise ValueError("index must be >= 1")
+            raise InvalidValue("index must be >= 1")
         self.radicand = NonnegScalar(radicand)
         self.index = index
 
@@ -359,17 +360,17 @@ def seq_metric(x: EventuallyConstSeq, y: EventuallyConstSeq, space="linf"):
         return max((*gaps, tail_gap)) if gaps else tail_gap
     tag, p = space
     if tag != "lp":
-        raise ValueError(f"unknown sequence space {space!r}")
+        raise InvalidValue(f"unknown sequence space {space!r}")
     if not x.tail.is_zero or not y.tail.is_zero:
         raise UnsupportedTail("p-summable metric needs zero tails")
     if isinstance(p, int):
         if p < 1:
-            raise ValueError("p must be >= 1")
+            raise InvalidValue("p must be >= 1")
         total = sum((g ** p for g in gaps), ZERO)
         return total if p == 1 else Radical(total, p)
     pf = float(NonnegScalar(p))
     if pf < 1.0:
-        raise ValueError("p must be >= 1")
+        raise InvalidValue("p must be >= 1")
     try:
         total = sum(float(g) ** pf for g in gaps)
     except OverflowError:

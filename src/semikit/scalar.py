@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._backend import RAT, parse_literal
-from .errors import NegativeScalar, ResultTooLarge, ZeroInverse
+from .errors import InvalidValue, NegativeScalar, ResultTooLarge, ZeroInverse
 
 __all__ = [
     "NonnegScalar",
@@ -216,9 +216,9 @@ class OrderedDiff:
 
     def __post_init__(self):
         if self.order is Order.EQUAL and not self.gap.is_zero:
-            raise ValueError("order EQUAL requires a zero gap")
+            raise InvalidValue("order EQUAL requires a zero gap")
         if self.order is not Order.EQUAL and self.gap.is_zero:
-            raise ValueError("a zero gap requires order EQUAL")
+            raise InvalidValue("a zero gap requires order EQUAL")
 
 
 def add(a: NonnegScalar, b: NonnegScalar) -> NonnegScalar:

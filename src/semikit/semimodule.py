@@ -28,6 +28,7 @@ from . import _signed
 from ._backend import RAT, random_form, scaled_add, scaled_dot, scaled_ints, scaled_scale, unscaled
 from .errors import (
     DimensionMismatch,
+    InvalidValue,
     NonUnique,
     NotRepresentable,
 )
@@ -726,7 +727,7 @@ def axiom_audit(space: str = "rn", dim: int = 3, samples: int = 1000, seed: int 
         def sample():
             return SemiPolynomial._from_form(_random_form(rng, dim + 1))
     else:
-        raise ValueError(f"unknown space {space!r}")
+        raise InvalidValue(f"unknown space {space!r}")
 
     law_failures = {name: 0 for name in _LAW_NAMES}
     cancellation_failures = 0

@@ -62,8 +62,9 @@ CAP = preserver([0, 1, 2], [0, 1, 1], 2)              # t -> min(t, 1)
     [
         lambda: preserver([0, 2], [1, 4], 2),
         lambda: FiniteSemiMetric([[0, 1], [2, 0]]),
+        lambda: space_closure_audit("x", None, None, 1),
     ],
-    ids=["preserver-moves-zero", "not-a-semimetric"],
+    ids=["preserver-moves-zero", "not-a-semimetric", "unknown-family"],
 )
 def test_malformed_arguments_raise_a_semikit_error(build):
     # a SemikitError that is still the ValueError these constructors used to raise

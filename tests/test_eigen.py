@@ -22,6 +22,7 @@ from semikit.errors import (
     NoConvergence,
     NotSquare,
     ReducibleMatrix,
+    SemikitError,
     ZeroVector,
 )
 
@@ -301,3 +302,10 @@ class TestDiagonalRepresentation:
         report = diagonal_representation_check(diag(2, 5), SemiBasis([["1/2", 0], [0, 7]]))
         assert report["diagonal"]
         assert report["eigenvalues"] == [NS(2), NS(5)]
+
+
+def test_nonpositive_tolerance_raises_a_semikit_error():
+    # a SemikitError that is still the ValueError this call used to raise
+    with pytest.raises(SemikitError) as exc:
+        perron_power_iteration(SemiMatrix([[1, 1], [1, 1]]), tol=0)
+    assert isinstance(exc.value, ValueError)

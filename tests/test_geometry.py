@@ -25,7 +25,13 @@ from semikit import (
     seq_metric,
     sqrt_leq_sum_of_sqrts,
 )
-from semikit.errors import DimensionMismatch, IntervalMismatch, ResultTooLarge, UnsupportedTail
+from semikit.errors import (
+    DimensionMismatch,
+    IntervalMismatch,
+    ResultTooLarge,
+    SemikitError,
+    UnsupportedTail,
+)
 
 from conftest import F, NS, rand_scalar, rand_vector
 
@@ -410,3 +416,20 @@ class TestCauchyProbe:
         report = cauchy_probe(gen, "linf", [(NS(1), 2)])
         assert not report["cauchy_ok"]
         assert report["failures"]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Radical(NonnegScalar(2), 0),
+        lambda: seq_metric(EventuallyConstSeq([1], 0), EventuallyConstSeq([2], 0), ("lq", 2)),
+        lambda: seq_metric(EventuallyConstSeq([1], 0), EventuallyConstSeq([2], 0), ("lp", 0)),
+        lambda: seq_metric(EventuallyConstSeq([1], 0), EventuallyConstSeq([2], 0), ("lp", "1/2")),
+    ],
+    ids=["radical-index", "unknown-space", "integer-p-below-one", "rational-p-below-one"],
+)
+def test_malformed_arguments_raise_a_semikit_error(build):
+    # a SemikitError that is still the ValueError these calls used to raise
+    with pytest.raises(SemikitError) as exc:
+        build()
+    assert isinstance(exc.value, ValueError)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semikit import NonnegScalar, ONE, Order, ZERO, add, inv, mul, ordered_diff
-from semikit.errors import NegativeScalar, ParseError, ZeroInverse
-from semikit.scalar import parse_scalar
+from semikit.errors import NegativeScalar, ParseError, SemikitError, ZeroInverse
+from semikit.scalar import OrderedDiff, parse_scalar
 
 from conftest import F, NS, rand_scalar
 
@@ -174,3 +174,15 @@ def test_ordering_accepts_what_eq_accepts():
             assert getattr(one, op)(other) is NotImplemented
     with pytest.raises(TypeError):
         one < "2"
+
+
+@pytest.mark.parametrize(
+    "gap, order",
+    [(ONE, Order.EQUAL), (ZERO, Order.FIRST_GREATER)],
+    ids=["equal-nonzero-gap", "zero-gap-unequal"],
+)
+def test_inconsistent_ordered_diff_raises_a_semikit_error(gap, order):
+    # a SemikitError that is still the ValueError this constructor used to raise
+    with pytest.raises(SemikitError) as exc:
+        OrderedDiff(gap, order)
+    assert isinstance(exc.value, ValueError)

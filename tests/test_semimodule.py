@@ -20,6 +20,7 @@ from semikit.errors import (
     DimensionMismatch,
     NonUnique,
     NotRepresentable,
+    SemikitError,
 )
 from semikit.semimodule import axiom_audit, check_cancellation, check_svs_laws
 
@@ -247,3 +248,10 @@ class TestMatrixAndPolynomial:
     def test_polynomial_scale(self):
         p = SemiPolynomial(["1/2", "1/3"])
         assert p.scale(NS(6)) == SemiPolynomial([3, 2])
+
+
+def test_unknown_audit_space_raises_a_semikit_error():
+    # a SemikitError that is still the ValueError this call used to raise
+    with pytest.raises(SemikitError) as exc:
+        axiom_audit(space="x")
+    assert isinstance(exc.value, ValueError)
